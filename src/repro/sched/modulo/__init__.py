@@ -10,11 +10,11 @@ its ILP model; this package is the production version of that extension
     windows, RecMII as the max cycle ratio over distance-annotated DDG
     cycles (binary search + Bellman–Ford).
 ``repro.sched.modulo.formulation``
-    The genuinely *modulo* ILP: decision variables per (instruction,
-    row = cycle mod II, stage), modulo reservation-table constraints,
-    and a stage-count/register-pressure bound — emitted as a standard
-    :class:`repro.ilp.Model`, so every backend (including the
-    portfolio race) solves it.
+    The genuinely *modulo* ILP: a one-hot kernel row (cycle mod II)
+    plus an integer stage per instruction, modulo reservation-table
+    constraints, and a stage-count/register-pressure bound — emitted
+    as a standard :class:`repro.ilp.Model`, so every backend (including
+    the portfolio race) solves it.
 ``repro.sched.modulo.ladder``
     The deadline-aware II search: MII upward with per-rung budget
     splits, §8-style degradation to the time-indexed ``swp``

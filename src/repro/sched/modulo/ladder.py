@@ -17,7 +17,7 @@ The rungs, in degradation order:
    model, including the portfolio race.
 2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
    formulation, kept as its own rung — a different relaxation
-   occasionally finds a kernel the (row, stage)-bounded model rejects
+   occasionally finds a kernel the stage-bounded modulo model rejects
    (e.g. when the stage budget binds).
 3. **Unpipelined**: the loop stays as the acyclic scheduler left it.
 

@@ -1,22 +1,25 @@
 """The modulo-scheduling subsystem: bounds, formulation, ladder, oracle.
 
 Covers the three layers of :mod:`repro.sched.modulo` separately —
-closed-form lower bounds, the (row, stage) ILP, and the II ladder with
-its §8 degradation contract — plus the hypothesis property that a
-materialized pipeline is execution-equivalent to its source loop for
-arbitrary trip counts.
+closed-form lower bounds, the (row one-hot, integer stage) ILP, and the
+II ladder with its §8 degradation contract — plus the hypothesis
+property that a materialized pipeline is execution-equivalent to its
+source loop for arbitrary trip counts.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ilp import solve_model
+from repro.ilp import Model, SolveStatus, lin_sum, solve_model
 from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.interp import Interpreter, initial_registers
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
 from repro.machine.itanium2 import ITANIUM2
+from repro.machine.units import UnitKind
 from repro.sched.modulo.bounds import (
     critical_path,
     has_positive_cycle,
@@ -28,6 +31,7 @@ from repro.sched.modulo.ladder import LoopPipelineOutcome, pipeline_loop
 from repro.sched.swp import ModuloScheduler, build_modulo_edges
 from repro.tools import faults
 from repro.tools.deadline import Deadline
+from repro.workloads.generator import loop_dominated_family
 
 COUNTED_LOOP = """
 .proc counted
@@ -49,6 +53,25 @@ COUNTED_LOOP = """
   (p16) br.cond LOOP
 .block POST freq=10
   add r8 = r15, 0
+  br.ret b0
+.endp
+"""
+
+TIGHT_LOOP = """
+.proc tight
+.livein r32
+.liveout r8
+.block PRE freq=10
+  mov r9 = 0
+  add r4 = r32, 0
+.block LOOP freq=100 succ=LOOP:0.9,POST:0.1
+  add r4 = r4, r32
+  xor r4 = r4, r32
+  adds r9 = 1, r9
+  cmp.lt p16, p17 = r9, 7
+  (p16) br.cond LOOP
+.block POST freq=10
+  add r8 = r4, 0
   br.ret b0
 .endp
 """
@@ -161,30 +184,169 @@ def test_modulo_ilp_respects_rows_and_dependences():
 
 
 def test_modulo_ilp_infeasible_below_recurrence_bound():
-    text = """
-.proc tight
-.livein r32
-.liveout r8
-.block PRE freq=10
-  mov r9 = 0
-  add r4 = r32, 0
-.block LOOP freq=100 succ=LOOP:0.9,POST:0.1
-  add r4 = r4, r32
-  xor r4 = r4, r32
-  adds r9 = 1, r9
-  cmp.lt p16, p17 = r9, 7
-  (p16) br.cond LOOP
-.block POST freq=10
-  add r8 = r4, 0
-  br.ret b0
-.endp
-"""
-    _fn, _cfg, _ddg, _loop, body, edges = _loop_parts(text)
+    _fn, _cfg, _ddg, _loop, body, edges = _loop_parts(TIGHT_LOOP)
     rec = recurrence_mii(body, edges)
     assert rec >= 2
     ilp = ModuloIlp(body, edges, rec - 1, machine=ITANIUM2, max_stages=4)
     solution = solve_model(ilp.model, backend="highs", time_limit=20.0)
     assert not solution
+
+
+def _cell_model(body, edges, ii, machine=ITANIUM2, max_stages=4):
+    """Reference oracle: one binary per (instruction, row, stage) cell.
+
+    The formulation ``ModuloIlp`` replaced — the same assignment,
+    dependence, lifetime, reservation and ``Σ t_n`` rows, with ``t_n``
+    expanded over all ``II · max_stages`` cells.  Test-only.
+    """
+    model = Model(f"cells_ii{ii}")
+    cells, start = {}, {}
+    for instr in body:
+        for row in range(ii):
+            for stage in range(max_stages):
+                cells[instr, row, stage] = model.add_binary(
+                    f"y_{instr.uid}_{row}_{stage}"
+                )
+        mine = [(r, s) for r in range(ii) for s in range(max_stages)]
+        model.add_constraint(lin_sum(cells[instr, r, s] for r, s in mine) == 1)
+        start[instr] = lin_sum(
+            (s * ii + r) * cells[instr, r, s] for r, s in mine
+        )
+    members = set(body)
+    for edge in edges:
+        if edge.src not in members or edge.dst not in members:
+            continue
+        gap = start[edge.dst] - start[edge.src]
+        model.add_constraint(gap >= edge.latency - edge.distance * ii)
+        if edge.latency > 0:
+            model.add_constraint(
+                gap <= max_stages * ii - 1 - edge.distance * ii
+            )
+    ports = machine.ports
+    caps = [
+        ((UnitKind.M,), ports.m_ports),
+        ((UnitKind.I, UnitKind.L), ports.i_ports),
+        ((UnitKind.F,), ports.f_ports),
+        ((UnitKind.B,), ports.b_ports),
+        ((UnitKind.A, UnitKind.M, UnitKind.I), ports.m_ports + ports.i_ports),
+    ]
+    for row in range(ii):
+        used = [
+            (i, cells[i, row, s]) for i in body for s in range(max_stages)
+        ]
+        model.add_constraint(
+            lin_sum((2.0 if i.unit is UnitKind.L else 1.0) * v
+                    for i, v in used) <= ports.issue_width
+        )
+        for kinds, cap in caps:
+            terms = [v for i, v in used if i.unit in kinds]
+            if len(terms) > cap:
+                model.add_constraint(lin_sum(terms) <= cap)
+    model.set_objective(lin_sum(start.values()))
+    return model
+
+
+def _equivalence_loops():
+    yield "counted", _loop_parts(COUNTED_LOOP)
+    yield "tight", _loop_parts(TIGHT_LOOP)
+    for spec, fn in loop_dominated_family(count=10, scale=1.0, seed=1):
+        cfg = CfgInfo(fn)
+        ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
+        loop = cfg.loops[0]
+        body = ModuloScheduler._body_instructions(fn, loop)
+        edges = build_modulo_edges(fn, loop, body, ddg)
+        yield spec.name, (fn, cfg, ddg, loop, body, edges)
+
+
+def _same_optimum(models, label):
+    got, want = (
+        solve_model(model, backend="highs", time_limit=30.0)
+        for model in models
+    )
+    for sol in (got, want):
+        assert sol.status in (SolveStatus.OPTIMAL,
+                              SolveStatus.INFEASIBLE), label
+    assert got.status is want.status, label
+    if want:
+        assert got.objective == pytest.approx(want.objective), label
+    return bool(want)
+
+
+def test_compact_model_matches_cell_model():
+    """Same verdict and optimal Σ t_n as the per-cell model, II = MII ± 1.
+
+    At II = MII the latest schedule (maximal Σ t_n) must agree too: it
+    presses starts against the stage bound, which the flat optimum
+    never touches.
+    """
+    checked = 0
+    for name, (_fn, _cfg, _ddg, _loop, body, edges) in _equivalence_loops():
+        mii = max(resource_mii(body, ITANIUM2),
+                  recurrence_mii(body, edges), 1)
+        for ii in range(max(mii - 1, 1), mii + 2):
+            models = (ModuloIlp(body, edges, ii).model,
+                      _cell_model(body, edges, ii))
+            feasible = _same_optimum(models, (name, ii))
+            if ii == mii and feasible:
+                for model in models:
+                    model.set_objective(-model.objective)
+                _same_optimum(models, (name, ii, "latest"))
+            checked += 1
+    assert checked >= 30
+
+
+def _solved_counted():
+    _fn, _cfg, _ddg, _loop, body, edges = _loop_parts(COUNTED_LOOP)
+    mii = max(resource_mii(body, ITANIUM2), recurrence_mii(body, edges), 1)
+    ilp = ModuloIlp(body, edges, mii)
+    solution = solve_model(ilp.model, backend="highs", time_limit=20.0)
+    assert solution and ilp.start_times(solution) is not None
+    return ilp, solution
+
+
+def test_start_times_rejects_corrupt_solutions():
+    ilp, solution = _solved_counted()
+
+    def decode(changes):
+        values = {**solution.values, **changes}
+        return ilp.start_times(replace(solution, values=values))
+
+    instr = ilp.body[0]
+    assert decode({}) is not None
+    # A row one-hot with no set cell.
+    assert decode({cell: 0.0 for cell in ilp.rows[instr]}) is None
+    # A stage outside [0, max_stages), after rounding.  Shifting every
+    # stage keeps each dep_/life_ gap, so only the range check fires.
+    for shift in (ilp.max_stages, ilp.max_stages - 0.4, -ilp.max_stages):
+        assert decode({stage: solution.values[stage] + shift
+                       for stage in ilp.stage.values()}) is None
+    # Starts that break a dep_ row: move dst onto src's (row, stage).
+    src, dst = next(
+        (s, d) for s, d, low, _high in ilp.spans if low >= 1 and s is not d
+    )
+    moved = {cell: solution.values[own]
+             for cell, own in zip(ilp.rows[dst], ilp.rows[src])}
+    moved[ilp.stage[dst]] = solution.values[ilp.stage[src]]
+    assert decode(moved) is None
+
+
+def test_compact_model_size_and_bb_backend():
+    ilp, solution = _solved_counted()
+    ii = ilp.ii
+    size = ilp.size
+    assert size["variables"] == len(ilp.body) * (ii + 1)
+    assert size["nonzeros"] == ilp.model.to_arrays()["A"].nnz
+    spans = [c for c in ilp.model.constraints
+             if c.name.startswith(("dep_", "life_"))]
+    assert spans
+    assert all(len(c.expr.terms) <= 2 * ii + 2 for c in spans)
+    # The stage columns are general integers: bb must branch on them and
+    # still reach the highs optimum.
+    assert any(v.is_integer and not v.is_binary for v in ilp.model.variables)
+    exact = solve_model(ilp.model, backend="bb", time_limit=60.0)
+    assert exact.status is SolveStatus.OPTIMAL
+    assert exact.objective == pytest.approx(solution.objective)
+    assert ilp.start_times(exact) is not None
 
 
 # -- the ladder ----------------------------------------------------------------
