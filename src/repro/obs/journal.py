@@ -1,12 +1,10 @@
 """``repro.obs.journal`` — the crash-safe persistent telemetry journal.
 
 Everything the obs layer records dies with its process: metrics dumps
-are per-run, the fleet daemon's counters evaporate at exit, and the
-portfolio's per-family win rates — the feed the ROADMAP auto-tuner
-needs — never touch disk.  This module is the durable substrate: an
-**append-only JSONL journal** written by the serving tier on every
-request exit path and read back by ``tia-telemetry`` (and, eventually,
-``tia-tune``).
+are per-run and the fleet daemon's counters evaporate at exit.  This
+module is the durable substrate: an **append-only JSONL journal**
+written by the serving tier on every request exit path and read back by
+``tia-telemetry`` (and, eventually, ``tia-tune``).
 
 Layout under the journal root::
 
@@ -61,9 +59,11 @@ _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
 
 # Record kinds the schema knows. "request" is one fleet request exit;
-# "portfolio_summary" is the drain-time persistence of the per-family
-# portfolio win-rate counters; "note" is free-form (markers, tests).
-RECORD_KINDS = ("request", "portfolio_summary", "note")
+# DRAIN_KIND is the drain-time snapshot of a replica's counters, drain
+# reason and journal write errors; "note" is free-form (markers, tests).
+# Historical on-disk name, kept so journals from older daemons still roll up.
+DRAIN_KIND = "portfolio_summary"
+RECORD_KINDS = ("request", DRAIN_KIND, "note")
 
 # Outcomes a request record may carry — the fleet daemon's exit paths.
 REQUEST_OUTCOMES = ("ok", "busy", "error", "drained", "fault", "probe")
@@ -130,7 +130,6 @@ def request_record(
     features=None,
     timings=None,
     cache_kinds=None,
-    portfolio=None,
     shed_reason=None,
     error=None,
     fault=None,
@@ -141,8 +140,7 @@ def request_record(
     ``outcome`` is the exit path (:data:`REQUEST_OUTCOMES`);
     ``routines`` is a list of ``{routine, kind, quality}`` dicts;
     ``features`` the effective wire-safe :class:`ScheduleFeatures`
-    knobs; ``timings`` ``{queue_wait, solve, total}`` seconds;
-    ``portfolio`` ``{winner, seed_transfers}`` when a race ran.
+    knobs; ``timings`` ``{queue_wait, solve, total}`` seconds.
     """
     record = {
         "v": SCHEMA_VERSION,
@@ -166,8 +164,6 @@ def request_record(
         }
     if cache_kinds:
         record["cache_kinds"] = dict(cache_kinds)
-    if portfolio:
-        record["portfolio"] = dict(portfolio)
     if shed_reason is not None:
         record["shed_reason"] = shed_reason
     if error is not None:

@@ -16,9 +16,10 @@ daemon's own ``stats`` counters exactly (one record per exit path is
 the invariant that makes this possible): ``completed`` = ``ok``
 records, ``shed`` = ``busy``, ``drained`` = ``drained``, ``probes`` =
 ``probe``, ``accept_errors`` = ``fault``, and ``rejected`` =
-``busy + drained + error + fault``.  Drain-time ``portfolio_summary``
-records carry each replica's own counter snapshot, so the rollup can
-cross-check itself against what the daemon believed at exit.
+``busy + drained + error + fault``.  Drain-time records
+(:data:`repro.obs.journal.DRAIN_KIND`) carry each replica's own counter
+snapshot, so the rollup can cross-check itself against what the daemon
+believed at exit.
 
 **SLO rules** are comparisons against rollup metrics, written
 ``metric<=value`` / ``metric>=value`` (inline ``--rule``, repeatable)
@@ -107,7 +108,7 @@ def journal_rollup(root):
     Pure read — never mutates shards.  The rollup carries the outcome
     histogram, the reconstructed daemon counters, latency percentiles
     of served requests, the cache-hit mix, per-family activity and the
-    drain-time portfolio/counter summaries, keyed exactly as the SLO
+    drain-time counter summaries, keyed exactly as the SLO
     metrics and the dashboard panel expect.
     """
     outcomes = {}
@@ -132,11 +133,10 @@ def journal_rollup(root):
         if record.get("replica"):
             replicas.add(record["replica"])
         kind = record.get("kind")
-        if kind == "portfolio_summary":
+        if kind == journal_mod.DRAIN_KIND:
             summaries.append(
                 {
                     "replica": record.get("replica"),
-                    "families": record.get("families") or {},
                     "counters": record.get("counters") or {},
                     "drain_reason": record.get("drain_reason"),
                     "write_errors": int(record.get("write_errors") or 0),
@@ -178,8 +178,6 @@ def journal_rollup(root):
                     "requests": 0,
                     "cache_kinds": {},
                     "quality_tiers": {},
-                    "portfolio_wins": {},
-                    "seed_transfers": 0,
                     "totals": [],
                 },
             )
@@ -194,13 +192,6 @@ def journal_rollup(root):
                     entry["quality_tiers"][quality] = (
                         entry["quality_tiers"].get(quality, 0) + 1
                     )
-            portfolio = record.get("portfolio") or {}
-            if portfolio.get("winner"):
-                winner = portfolio["winner"]
-                entry["portfolio_wins"][winner] = (
-                    entry["portfolio_wins"].get(winner, 0) + 1
-                )
-            entry["seed_transfers"] += int(portfolio.get("seed_transfers") or 0)
             if isinstance(timings.get("total"), (int, float)):
                 entry["totals"].append(float(timings["total"]))
 
@@ -238,7 +229,7 @@ def journal_rollup(root):
             "solve": _percentiles(solves),
         },
         "families": families,
-        "portfolio_summaries": summaries,
+        "drain_summaries": summaries,
         "replicas": sorted(replicas),
         "distinct_traces": len(traces),
         "span_seconds": (
@@ -452,25 +443,18 @@ def render_report(rollup):
 def render_families(rollup):
     lines = [
         f"{'family':16s} {'reqs':>5s} {'exact':>6s} {'family':>6s} "
-        f"{'miss':>5s} {'p99s':>8s} {'portfolio wins':s}"
+        f"{'miss':>5s} {'p99s':>8s}"
     ]
     for family, entry in sorted(
         rollup["families"].items(), key=lambda kv: -kv[1]["requests"]
     ):
         kinds = entry["cache_kinds"]
         lat = entry["latency"]
-        wins = (
-            ", ".join(
-                f"{spec}:{count}"
-                for spec, count in sorted(entry["portfolio_wins"].items())
-            )
-            or "-"
-        )
         lines.append(
             f"{family[:16]:16s} {entry['requests']:5d} "
             f"{kinds.get('exact', 0):6d} {kinds.get('family', 0):6d} "
             f"{kinds.get('miss', 0):5d} "
-            f"{lat['p99_seconds'] if lat else float('nan'):8.4f} {wins}"
+            f"{lat['p99_seconds'] if lat else float('nan'):8.4f}"
         )
     return "\n".join(lines)
 

@@ -248,12 +248,12 @@ class GreedyGlobalScheduler:
         for (block, cycle), group in sorted(
             by_spot.items(), key=lambda kv: (kv[0][0], kv[0][1])
         ):
-            ordered = self._topo_order(group, ddg)
-            for instr in ordered:
+            topo = self._topo_order(group, ddg)
+            for instr in topo:
                 schedule.place(instr, block, cycle)
-            index_of = {p: i for i, p in enumerate(ordered)}
+            index_of = {p: i for i, p in enumerate(topo)}
             pairs = []
-            for instr in ordered:
+            for instr in topo:
                 for edge in ddg.succs(instr):
                     if edge.dst in index_of and edge.latency == 0:
                         pairs.append((index_of[instr], index_of[edge.dst]))

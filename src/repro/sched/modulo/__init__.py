@@ -13,8 +13,8 @@ its ILP model; this package is the production version of that extension
     The genuinely *modulo* ILP: a one-hot kernel row (cycle mod II)
     plus an integer stage per instruction, modulo reservation-table
     constraints, and a stage-count/register-pressure bound — emitted
-    as a standard :class:`repro.ilp.Model`, so every backend (including
-    the portfolio race) solves it.
+    as a standard :class:`repro.ilp.Model`, so either backend (HiGHS or
+    the branch-and-bound oracle) solves it.
 ``repro.sched.modulo.ladder``
     The deadline-aware II search: MII upward with per-rung budget
     splits, §8-style degradation to the time-indexed ``swp``

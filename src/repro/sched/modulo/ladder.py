@@ -13,8 +13,8 @@ The rungs, in degradation order:
 1. **Modulo ILP** (:mod:`repro.sched.modulo.formulation`): for each
    candidate II from MII upward the remaining ladder budget is split
    evenly over the remaining rungs, so an early II that is *almost*
-   feasible cannot starve the rest of the climb; any backend solves the
-   model, including the portfolio race.
+   feasible cannot starve the rest of the climb; either backend solves
+   the model.
 2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
    formulation, kept as its own rung — a different relaxation
    occasionally finds a kernel the stage-bounded modulo model rejects
@@ -128,13 +128,11 @@ def pipeline_loop(
     ever spends its *remaining* budget); ``time_limit`` additionally
     caps what this one loop may consume.  ``features`` + ``store``
     enable the ``kind="loop"`` cache; both optional.  ``solve_extra``
-    passes backend kwargs through (the portfolio roster/seed/threads) —
-    a stale ``scheduling_ilp`` entry is dropped, the modulo model is
-    not a scheduling formulation.
+    passes backend kwargs (``heuristic_effort``) through to every rung-1
+    solve.
     """
     deadline = deadline if deadline is not None else Deadline(None)
-    extra = dict(solve_extra or {})
-    extra.pop("scheduling_ilp", None)
+    extra = solve_extra or {}
     outcome = LoopPipelineOutcome(loop_header=loop.header,
                                   status="unpipelined")
     started = deadline.elapsed()
@@ -206,8 +204,8 @@ def pipeline_loop(
         if remaining is not None:
             budget = min(budget or remaining, remaining)
         fallback = ModuloScheduler(
-            machine=machine, backend=backend if backend != "portfolio"
-            else "highs", time_limit=budget, max_ii=max_ii,
+            machine=machine, backend=backend, time_limit=budget,
+            max_ii=max_ii,
         )
         try:
             with _span(trace, "swp.fallback", loop=loop.header):

@@ -44,6 +44,7 @@ import os
 import sys
 import time
 
+from repro.ilp import KNOWN_BACKENDS
 from repro.ir.parser import parse_functions
 from repro.obs import core as obs
 from repro.sched.scheduler import ScheduleFeatures
@@ -120,7 +121,7 @@ def serve_main(argv=None):
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--time-limit", type=float, default=120.0)
     parser.add_argument(
-        "--backend", choices=["highs", "bb", "portfolio"], default="highs"
+        "--backend", choices=KNOWN_BACKENDS, default="highs"
     )
     parser.add_argument("--no-speculation", action="store_true")
     parser.add_argument("--no-cyclic", action="store_true")
@@ -303,7 +304,7 @@ def cache_main(argv=None):
     p_warm.add_argument("inputs", nargs="+")
     p_warm.add_argument("--time-limit", type=float, default=120.0)
     p_warm.add_argument(
-        "--backend", choices=["highs", "bb", "portfolio"], default="highs"
+        "--backend", choices=KNOWN_BACKENDS, default="highs"
     )
     p_warm.add_argument("--no-speculation", action="store_true")
     p_warm.add_argument("--no-cyclic", action="store_true")

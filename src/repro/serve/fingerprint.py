@@ -20,7 +20,11 @@ different opcode, a latency override, an immediate, an alias class, a
 block frequency or edge probability, any :class:`ScheduleFeatures`
 field, the machine description, and ``CODE_VERSION`` (bumped whenever
 the formulation/solver semantics change, which invalidates every
-existing entry wholesale without touching the store).
+existing entry wholesale without touching the store).  Adding or
+removing a ``ScheduleFeatures`` field also moves every exact key, since
+the exact form hashes the full field dict.  Removing a solver-only
+field leaves family keys put, and needs no ``CODE_VERSION`` bump when
+no schedule changes.
 
 The **family** fingerprint is deliberately coarser: it drops latency
 overrides, immediates, and profile numbers, and ignores solver-only
@@ -54,9 +58,6 @@ SOLVER_ONLY_FEATURES = frozenset({
     "time_limit",
     "heuristic_effort",
     "backend",
-    "portfolio_backends",
-    "portfolio_seed",
-    "portfolio_threads",
     "verify",
     "incremental_cuts",
     "max_resize_attempts",

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.ilp import BranchBoundSolver, Model, SolveStatus, solve_model
+from repro.ilp import (
+    KNOWN_BACKENDS,
+    BranchBoundSolver,
+    Model,
+    SolveStatus,
+    solve_model,
+)
 
 
 def _knapsack():
@@ -71,9 +77,12 @@ def test_pure_lp_passthrough():
 
 
 def test_solve_model_rejects_unknown_backend():
+    assert KNOWN_BACKENDS == ("highs", "bb")
     model, _ = _knapsack()
-    with pytest.raises(ValueError):
-        solve_model(model, backend="cplex")
+    for backend in ("cplex", "portfolio"):
+        # The message names the whole menu, not just the bad value.
+        with pytest.raises(ValueError, match=r"expected one of highs, bb\)"):
+            solve_model(model, backend=backend)
 
 
 def test_stats_populated():

@@ -1,7 +1,7 @@
 """``tia-telemetry``: rollup correctness, SLO gating, CLI plumbing.
 
 The rollup is tested against hand-built journals (every outcome kind,
-multiple replicas, portfolio summaries), the SLO engine against both
+multiple replicas, drain summaries), the SLO engine against both
 rule syntaxes and the gate exit codes, and the counter reconstruction
 against the documented exit-path mapping.
 """
@@ -33,7 +33,6 @@ def _mixed_records():
             ],
             timings={"queue_wait": 0.01, "solve": 0.2, "total": 0.25},
             cache_kinds={"miss": 1},
-            portfolio={"races": 1, "winner": "highs", "seed_transfers": 2},
             replica="a:1",
         ),
         request_record(
@@ -63,7 +62,6 @@ def _mixed_records():
                 "kind": "portfolio_summary",
                 "ts": 99.0,
                 "replica": "a:1",
-                "families": {"famA": {"highs#0": 1}},
                 "counters": {
                     "completed": 2, "shed": 1, "drained": 1,
                     "probes": 1, "accept_errors": 1, "rejected": 4,
@@ -73,6 +71,24 @@ def _mixed_records():
             }
         ),
     ]
+
+
+# Verbatim lines (valid checksums included) from a journal written before
+# the drain record dropped its ``families`` field and request records
+# their ``portfolio`` field.
+_OLDER_JOURNAL = (
+    '{"cache_kinds":{"miss":1},"crc":"214e0e530c9cbca7","family":"famA",'
+    '"features":{"backend":"portfolio"},"kind":"request","outcome":"ok",'
+    '"portfolio":{"races":1,"seed_transfers":0,"winner":"highs"},'
+    '"replica":"a:1","request_id":"r1","routines":[{"kind":"miss",'
+    '"quality":"optimal","routine":"x"}],"timings":{"queue_wait":0.01,'
+    '"solve":0.2,"total":0.25},"trace_id":"t1","ts":1.0,"v":1}\n'
+    '{"counters":{"accept_errors":0,"completed":1,"drained":0,"probes":0,'
+    '"rejected":0,"shed":0},"crc":"763cca081e115a75",'
+    '"drain_reason":"max-requests","families":{"famA":{"highs":1}},'
+    '"kind":"portfolio_summary","replica":"a:1","ts":2.0,"v":1,'
+    '"write_errors":0}\n'
+)
 
 
 class TestRollup:
@@ -101,10 +117,23 @@ class TestRollup:
         assert rollup["distinct_traces"] == 3
         fam = rollup["families"]["famA"]
         assert fam["requests"] == 2
-        assert fam["portfolio_wins"] == {"highs": 1}
-        assert fam["seed_transfers"] == 2
         assert fam["latency"]["count"] == 2
         assert rollup["latency"]["total"]["count"] == 2
+
+    def test_older_journal_lines_still_roll_up(self, tmp_path):
+        """Lines as older daemons wrote them: the request record carries
+        a racing-solver ``portfolio`` digest and the drain record a
+        per-family ``families`` tally. Both extras are ignored, and the
+        drain record still feeds the counter cross-check."""
+        root = tmp_path / "j"
+        root.mkdir()
+        (root / "shard-1-1-0001.jsonl").write_text(_OLDER_JOURNAL)
+        rollup = telemetry.journal_rollup(root)
+        assert rollup["records"] == 2
+        assert rollup["counters"]["completed"] == 1
+        assert rollup["reported_counters"] == rollup["counters"]
+        assert rollup["drain_summaries"][0]["drain_reason"] == "max-requests"
+        assert rollup["families"]["famA"]["quality_tiers"] == {"optimal": 1}
 
     def test_empty_journal(self, tmp_path):
         rollup = telemetry.journal_rollup(tmp_path / "missing")

@@ -76,6 +76,14 @@ def test_generated_routines_verify(seed):
     assert result.weighted_length_out <= result.weighted_length_in
 
 
+@pytest.mark.parametrize("backend", ["cplex", "portfolio"])
+def test_unknown_backend_rejected_with_menu(backend):
+    with pytest.raises(ValueError) as err:
+        ScheduleFeatures(backend=backend)
+    # The message names every accepted backend, not just the bad one.
+    assert "expected one of highs, bb)" in str(err.value)
+
+
 def test_feature_baseline_config():
     features = ScheduleFeatures.baseline_ilp()
     assert not features.speculation

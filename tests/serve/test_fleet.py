@@ -115,6 +115,28 @@ def test_bad_payload_gets_typed_error_and_does_not_count(tmp_path):
     assert box["counters"]["rejected"] >= 1
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"backend": "portfolio"}, {"portfolio_backends": ["highs", "bb"]}],
+)
+def test_retired_backend_override_gets_typed_error(tmp_path, override):
+    """A raw frame carrying a retired backend knob (bypassing the
+    client-side wire check) gets an ``error`` reply; the worker survives
+    to serve the next request."""
+    daemon = _daemon(tmp_path, workers=1, max_requests=1)
+    thread, box = _run(daemon)
+    header, payload = protocol.solve_request(STRAIGHT_TEXT, request_id="bad")
+    header["features"] = override
+    bad, _ = _roundtrip(daemon.path, header, payload)
+    good, _ = _solve(daemon.path)
+    thread.join(30)
+    assert bad["status"] == "error" and bad["id"] == "bad"
+    assert "portfolio" in bad["error"]
+    assert good["status"] == "ok"
+    assert box["counters"]["completed"] == 1
+    assert box["counters"]["rejected"] == 1
+
+
 def test_garbage_bytes_get_protocol_error(tmp_path):
     daemon = _daemon(tmp_path, workers=1, max_requests=1)
     thread, box = _run(daemon)

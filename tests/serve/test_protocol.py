@@ -167,21 +167,18 @@ def test_large_frame_in_chunks():
 
 
 def test_features_from_wire_validates_backend():
-    """A bad backend or roster override surfaces as a typed protocol
-    error (the daemon replies with it), not a server-side ValueError."""
+    """An unknown backend or a retired racing-solver knob surfaces as a
+    typed protocol error (the daemon replies with it), not a server-side
+    ValueError or TypeError."""
     from repro.sched.scheduler import ScheduleFeatures
 
     base = ScheduleFeatures()
-    raced = protocol.features_from_wire(
-        base,
-        {"backend": "portfolio", "portfolio_backends": ["highs", "bb"]},
-    )
-    assert raced.backend == "portfolio"
-    assert raced.portfolio_backends == ("highs", "bb")
+    assert protocol.features_from_wire(base, {"backend": "bb"}).backend == "bb"
     with pytest.raises(protocol.ProtocolError, match="cplex"):
         protocol.features_from_wire(base, {"backend": "cplex"})
-    with pytest.raises(protocol.ProtocolError, match="runner"):
+    with pytest.raises(protocol.ProtocolError, match="portfolio"):
+        protocol.features_from_wire(base, {"backend": "portfolio"})
+    with pytest.raises(protocol.ProtocolError, match="portfolio_backends"):
         protocol.features_from_wire(
-            base,
-            {"backend": "portfolio", "portfolio_backends": ["warp-drive"]},
+            base, {"portfolio_backends": ["highs", "bb"]}
         )

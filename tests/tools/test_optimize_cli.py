@@ -114,3 +114,26 @@ def test_report_includes_phase_breakdown(asm_file, capsys):
     captured = capsys.readouterr()
     assert "phases:" in captured.err
     assert "phase 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cli, argv",
+    [
+        ("tia-opt", ["in.tia"]),
+        ("tia-serve", ["--cache", "cache"]),
+        ("tia-cache", ["warm", "cache", "in.tia"]),
+    ],
+)
+def test_backend_menu_rejects_portfolio(cli, argv, capsys):
+    """Every CLI takes its --backend menu from repro.ilp.KNOWN_BACKENDS,
+    so the retired racing backend is an argparse usage error."""
+    from repro.ilp import KNOWN_BACKENDS
+    from repro.serve.daemon import cache_main, serve_main
+
+    entry = {"tia-opt": main, "tia-serve": serve_main, "tia-cache": cache_main}
+    with pytest.raises(SystemExit) as exc:
+        entry[cli]([*argv, "--backend", "portfolio"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'portfolio'" in err
+    assert all(repr(name) in err for name in KNOWN_BACKENDS)
