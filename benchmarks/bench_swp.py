@@ -18,7 +18,7 @@ from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo import modulo_schedule
 from repro.workloads.samples import fig5_cyclic_sample
 
 WIDE_LOOP = """
@@ -83,7 +83,7 @@ def test_swp_ladder(benchmark, case):
         fn = parse_function(text)
         cfg = CfgInfo(fn)
         ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
-        swp = ModuloScheduler().schedule_loop(fn, cfg, ddg, cfg.loops[0])
+        swp = modulo_schedule(fn, ddg, cfg.loops[0])
         return (
             plain.output_schedule.block_length("LOOP"),
             cyclic.output_schedule.block_length("LOOP"),

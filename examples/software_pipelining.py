@@ -18,7 +18,7 @@ from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.sched.scheduler import ScheduleFeatures
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo import modulo_schedule
 from repro.workloads.samples import fig5_cyclic_sample
 
 
@@ -35,7 +35,7 @@ def main():
     fn = parse_function(text)
     cfg = CfgInfo(fn)
     ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
-    swp = ModuloScheduler().schedule_loop(fn, cfg, ddg, cfg.loops[0])
+    swp = modulo_schedule(fn, ddg, cfg.loops[0])
 
     print("cycles per loop iteration (lower is better):")
     print(f"  global scheduling only   : {plain.output_schedule.block_length('LOOP')}")
@@ -84,7 +84,7 @@ def main():
     fn2 = parse_function(counted_text)
     cfg2 = CfgInfo(fn2)
     ddg2 = build_dependence_graph(fn2, cfg2, compute_liveness(fn2))
-    msched = ModuloScheduler().schedule_loop(fn2, cfg2, ddg2, cfg2.loops[0])
+    msched = modulo_schedule(fn2, ddg2, cfg2.loops[0])
     pipelined = materialize_counted_loop(fn2, cfg2, ddg2, cfg2.loops[0], msched)
     print()
     print(f"materialized counted loop at II={msched.ii}: blocks "

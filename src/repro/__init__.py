@@ -5,7 +5,7 @@ The package is organised as a stack of subsystems:
 
 ``repro.ilp``
     A self-contained integer linear programming substrate (modeling layer,
-    revised simplex, branch-and-bound, and a HiGHS backend through scipy).
+    presolve, branch-and-bound, and a HiGHS backend through scipy).
 ``repro.machine``
     The Itanium 2 machine model: opcodes, functional units, dispersal
     rules and bundle templates.

@@ -8,12 +8,9 @@ available here, so this package provides the whole ILP stack from scratch:
 ``repro.ilp.model``
     The :class:`Model` container: variables, linear constraints, objective,
     conversion to matrix form, LP-format export.
-``repro.ilp.simplex``
-    A dense two-phase primal simplex for linear programs (used for the
-    relaxations of small models and as an independent cross-check of the
-    scipy backend).
 ``repro.ilp.branch_bound``
-    A pure-Python branch-and-bound MILP solver over LP relaxations.
+    A pure-Python branch-and-bound MILP solver over scipy ``linprog``
+    relaxations — the independent differential oracle for HiGHS.
 ``repro.ilp.highs``
     A backend that hands the matrix form to ``scipy.optimize.milp``
     (the HiGHS branch-and-cut solver bundled with scipy).
@@ -30,7 +27,6 @@ from repro.ilp.model import Model, Constraint, Sense
 from repro.ilp.status import SolveStatus, Solution, SolverStats
 from repro.ilp.branch_bound import BranchBoundSolver
 from repro.ilp.highs import HighsSolver
-from repro.ilp.simplex import SimplexSolver, LpResult
 
 #: Backends :func:`solve_model` dispatches on; eager feature validation
 #: (``ScheduleFeatures.__post_init__``) and the CLIs list these instead of
@@ -49,8 +45,6 @@ __all__ = [
     "SolverStats",
     "BranchBoundSolver",
     "HighsSolver",
-    "SimplexSolver",
-    "LpResult",
     "KNOWN_BACKENDS",
     "solve_model",
 ]

@@ -1,10 +1,7 @@
 """Pure-Python branch-and-bound MILP solver.
 
 This is the stand-in for the paper's CPLEX: a branch-and-bound search over
-LP relaxations. Relaxations are solved either with scipy's ``linprog``
-(HiGHS, the default) or with the package's own dense simplex
-(:mod:`repro.ilp.simplex`) so the whole stack can run without scipy's C
-solvers if required.
+LP relaxations, each solved with scipy's ``linprog`` (HiGHS).
 
 Search architecture (the solver-throughput overhaul):
 
@@ -17,11 +14,6 @@ Search architecture (the solver-throughput overhaul):
   copies); its LP is solved once, when it is popped,
 * **pseudocost branching** seeded from most-fractional until per-variable
   degradation history accumulates,
-* **warm-started relaxations** — with the ``"simplex"`` engine each node
-  reuses its parent's optimal basis and reoptimizes with dual simplex
-  pivots (:meth:`repro.ilp.simplex.SimplexSolver.solve_arrays`); the
-  scipy/HiGHS engine keeps cold solves but still benefits from the cheap
-  node bookkeeping,
 * **incumbent / cutoff seeding** — a caller holding a feasible assignment
   (e.g. the scheduler's bundling-cut loop) can pass it in to start the
   search with an upper bound,
@@ -42,9 +34,7 @@ import time
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.errors import IlpError
 from repro.ilp.presolve import presolve_arrays
-from repro.ilp.simplex import SimplexSolver
 from repro.ilp.status import (
     Solution,
     SolveStatus,
@@ -65,16 +55,14 @@ _GAP_SAMPLE_NODES = 32
 class _Relaxation:
     """LP relaxation oracle with per-node variable bounds.
 
-    ``solve`` returns ``(status, objective, x, basis)`` where status is one
-    of ``"optimal"``, ``"infeasible"``, ``"unbounded"`` or ``"unknown"``
+    ``solve`` returns ``(status, objective, x)`` where status is one of
+    ``"optimal"``, ``"infeasible"``, ``"unbounded"`` or ``"unknown"``
     (the relaxation hit an iteration/numerical limit and produced no
-    verdict — callers must NOT treat that as infeasible). ``basis`` is a
-    warm-start token for a later call (simplex engine only).
+    verdict — callers must NOT treat that as infeasible).
     """
 
-    def __init__(self, arrays, engine="scipy"):
+    def __init__(self, arrays):
         self.c = arrays["c"]
-        self.engine = engine
         a_mat = arrays["A"]
         b_lo, b_hi = arrays["b_lo"], arrays["b_hi"]
         eq_rows = np.isfinite(b_lo) & np.isfinite(b_hi) & (b_lo == b_hi)
@@ -92,27 +80,12 @@ class _Relaxation:
         self.a_eq = a_mat[eq_rows].tocsr() if eq_rows.any() else None
         self.b_eq = b_hi[eq_rows] if eq_rows.any() else None
         self.arrays = arrays
-        self.iterations = 0  # simplex pivots across the whole tree
-        if engine == "simplex":
-            # The dense conversion is done once for the whole tree instead
-            # of once per node.
-            self._dense_a = np.asarray(a_mat.todense(), dtype=float)
-            self._simplex = SimplexSolver()
+        self.iterations = 0  # LP iterations across the whole tree
 
-    def solve(self, lb, ub, warm_basis=None):
+    def solve(self, lb, ub):
         """Solve min c'x with the given bound vectors."""
         if np.any(lb > ub + 1e-12):
-            return "infeasible", None, None, None
-        if self.engine == "simplex":
-            local = dict(self.arrays)
-            local["A"] = self._dense_a
-            local["lb"], local["ub"] = lb, ub
-            try:
-                result = self._simplex.solve_arrays(local, warm_basis=warm_basis)
-            except IlpError:
-                return "unknown", None, None, None
-            self.iterations += result.iterations
-            return result.status, result.objective, result.x, result.basis
+            return "infeasible", None, None
         bounds = np.column_stack([lb, ub])
         result = optimize.linprog(
             self.c,
@@ -125,13 +98,13 @@ class _Relaxation:
         )
         self.iterations += int(getattr(result, "nit", 0) or 0)
         if result.status == 2:
-            return "infeasible", None, None, None
+            return "infeasible", None, None
         if result.status == 3:
-            return "unbounded", None, None, None
+            return "unbounded", None, None
         if not result.success:
             # Iteration limit (1) or numerical trouble (4): no verdict.
-            return "unknown", None, None, None
-        return "optimal", float(result.fun), result.x, None
+            return "unknown", None, None
+        return "optimal", float(result.fun), result.x
 
     def check_point(self, x, tol=1e-6):
         """Feasibility of ``x`` against rows and bounds, via the cached CSR."""
@@ -239,16 +212,14 @@ class _Node:
     ``deltas`` is the tuple of ``(var, is_upper, value)`` bound changes
     along the path from the root — O(depth) per node. The parent's LP
     solution is *not* stored; the node's relaxation is solved lazily when
-    it is popped. ``basis`` is the parent's warm-start token (shared, not
-    copied).
+    it is popped.
     """
 
-    __slots__ = ("bound", "deltas", "basis", "bvar", "bdir", "bfrac")
+    __slots__ = ("bound", "deltas", "bvar", "bdir", "bfrac")
 
-    def __init__(self, bound, deltas, basis, bvar, bdir, bfrac):
+    def __init__(self, bound, deltas, bvar, bdir, bfrac):
         self.bound = bound
         self.deltas = deltas
-        self.basis = basis
         self.bvar = bvar
         self.bdir = bdir
         self.bfrac = bfrac
@@ -264,9 +235,6 @@ class BranchBoundSolver:
         the best incumbent (if any) is returned with status ``FEASIBLE``.
     node_limit:
         Maximum number of explored nodes.
-    relaxation:
-        ``"scipy"`` (HiGHS linprog) or ``"simplex"`` (own dense simplex,
-        with parent-basis warm starts).
     rounding_heuristic:
         Try rounding the root relaxation to snatch an early incumbent.
     dive_first:
@@ -278,13 +246,11 @@ class BranchBoundSolver:
         self,
         time_limit=None,
         node_limit=200000,
-        relaxation="scipy",
         rounding_heuristic=True,
         dive_first=True,
     ):
         self.time_limit = time_limit
         self.node_limit = node_limit
-        self.relaxation = relaxation
         self.rounding_heuristic = rounding_heuristic
         self.dive_first = dive_first
 
@@ -308,13 +274,12 @@ class BranchBoundSolver:
         verdict; ``incumbent``/``corrupt`` mangle a completed solve.
         """
         fault = faults.fire(fault_site)
-        stats_name = f"bb/{self.relaxation}"
         if fault == "infeasible":
-            stats = SolverStats(backend=stats_name)
+            stats = SolverStats(backend="bb")
             stats.gap_timeline = _fault_timeline("INFEASIBLE")
             return Solution(SolveStatus.INFEASIBLE, stats=stats)
         if fault == "timeout":
-            stats = SolverStats(backend=stats_name)
+            stats = SolverStats(backend="bb")
             if incumbent is not None:
                 oracle = _Relaxation(model.to_arrays())
                 int_idx = np.where(oracle.arrays["integrality"])[0]
@@ -342,7 +307,7 @@ class BranchBoundSolver:
         else:
             with obs.span(
                 "ilp.solve",
-                backend=stats_name,
+                backend="bb",
                 variables=len(model.variables),
                 constraints=model.num_constraints,
             ) as span:
@@ -360,7 +325,7 @@ class BranchBoundSolver:
 
     def _solve_impl(self, model, incumbent, cutoff):
         start = time.perf_counter()
-        stats = SolverStats(backend=f"bb/{self.relaxation}")
+        stats = SolverStats(backend="bb")
         arrays = model.to_arrays()
         arrays, fixed_empty = presolve_arrays(arrays)
         if fixed_empty:
@@ -370,7 +335,7 @@ class BranchBoundSolver:
 
         integrality = arrays["integrality"]
         int_idx = np.where(integrality)[0]
-        oracle = _Relaxation(arrays, engine=self.relaxation)
+        oracle = _Relaxation(arrays)
         obj_integral = self._objective_is_integral(arrays)
         root_lb, root_ub = arrays["lb"], arrays["ub"]
 
@@ -379,7 +344,7 @@ class BranchBoundSolver:
         # on *every* exit path below, so ``closed`` is a trustworthy
         # "the search really ended" marker for dashboards.
         timeline = stats.gap_timeline = GapTimeline()
-        status, obj, x, basis = oracle.solve(root_lb, root_ub)
+        status, obj, x = oracle.solve(root_lb, root_ub)
         stats.lp_solves += 1
         stats.simplex_iterations = oracle.iterations
         if status == "infeasible":
@@ -453,7 +418,7 @@ class BranchBoundSolver:
                 tie += 1
                 heapq.heappush(heap, (node.bound, tie, node))
 
-        self._branch(push, x, obj, (), basis, pseudo, int_idx)
+        self._branch(push, x, obj, (), pseudo, int_idx)
 
         def open_bound(extra=None):
             """Best bound over the open frontier (None when exhausted)."""
@@ -486,15 +451,11 @@ class BranchBoundSolver:
             if self._prune(node.bound, incumbent_obj, obj_integral):
                 continue
             lb, ub = self._materialize(root_lb, root_ub, node.deltas)
-            status, node_obj, node_x, node_basis = oracle.solve(
-                lb, ub, warm_basis=node.basis
-            )
+            status, node_obj, node_x = oracle.solve(lb, ub)
             stats.nodes += 1
             stats.lp_solves += 1
             if stats.nodes % _GAP_SAMPLE_NODES == 0:
                 take_sample(extra_bound=node.bound)
-            if node.basis is not None:
-                stats.warm_starts += 1
             if status == "unknown":
                 stats.unknown_lps += 1
                 proven = False
@@ -515,7 +476,7 @@ class BranchBoundSolver:
                 take_sample(label="incumbent")
                 continue
             self._branch(
-                push, node_x, node_obj, node.deltas, node_basis, pseudo, int_idx,
+                push, node_x, node_obj, node.deltas, pseudo, int_idx,
                 choice=frac,
             )
 
@@ -551,7 +512,7 @@ class BranchBoundSolver:
         )
 
     # -- search helpers ------------------------------------------------------
-    def _branch(self, push, x, obj, deltas, basis, pseudo, int_idx, choice=None):
+    def _branch(self, push, x, obj, deltas, pseudo, int_idx, choice=None):
         """Create the down/up children of a solved node.
 
         During the dive phase the preferred child (the rounding direction
@@ -561,11 +522,11 @@ class BranchBoundSolver:
             choice = pseudo.select(x, int_idx)
         var, value = choice
         down = _Node(
-            obj, deltas + ((var, True, math.floor(value)),), basis,
+            obj, deltas + ((var, True, math.floor(value)),),
             var, "down", value - math.floor(value),
         )
         up = _Node(
-            obj, deltas + ((var, False, math.ceil(value)),), basis,
+            obj, deltas + ((var, False, math.ceil(value)),),
             var, "up", value - math.floor(value),
         )
         if value - math.floor(value) >= 0.5:

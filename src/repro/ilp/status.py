@@ -41,8 +41,6 @@ class SolverStats:
     # FEASIBLE: an undecided subtree may hide the true optimum, and
     # silently pruning it (the pre-overhaul behaviour) could discard it.
     unknown_lps: int = 0
-    # LP relaxations answered from a warm-started basis (simplex engine).
-    warm_starts: int = 0
     # Incumbent/best-bound convergence record
     # (:class:`repro.obs.insight.GapTimeline`); both backends attach one
     # and close it on every exit path, fault and deadline exits included.
@@ -83,10 +81,9 @@ def record_solve_metrics(stats, seeded=False):
     Called by every backend after a completed solve (both backends
     already collect these numbers for Table 2, so telemetry costs one
     guarded call per *solve*, nothing per node). ``seeded`` marks a
-    solve that started from a caller-provided incumbent — the
-    warm-start currency of the HiGHS backend, where scipy offers no
-    basis injection; the bb/simplex backend additionally reports true
-    basis reuse through ``stats.warm_starts``.
+    solve that started from a caller-provided incumbent — the only
+    warm start either backend takes, since scipy offers no basis
+    injection.
     """
     from repro.obs import core as obs
 
@@ -97,12 +94,6 @@ def record_solve_metrics(stats, seeded=False):
     obs.counter("bb_nodes_total", stats.nodes, backend=backend)
     obs.histogram("solve_nodes", stats.nodes, backend=backend)
     obs.histogram("solve_seconds", stats.time_seconds, backend=backend)
-    obs.counter("warm_start_hits_total", stats.warm_starts, backend=backend)
-    obs.counter(
-        "warm_start_misses_total",
-        max(0, stats.lp_solves - stats.warm_starts),
-        backend=backend,
-    )
     if stats.simplex_iterations:
         obs.counter(
             "simplex_iterations_total",

@@ -400,9 +400,7 @@ def swp_summary(metrics):
 
     by_status = _by_label("swp_loops_total", "status")
     loops = sum(by_status.values())
-    pipelined = by_status.get("pipelined", 0) + by_status.get(
-        "fallback_swp", 0
-    )
+    pipelined = by_status.get("pipelined", 0)
     at_mii = _sum(counters, "swp_ii_at_mii_total")
     ratio_count = _sum(histograms, "swp_ii_over_mii", field="count")
     ratio_sum = _sum(histograms, "swp_ii_over_mii", field="sum")

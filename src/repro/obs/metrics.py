@@ -75,8 +75,6 @@ METRIC_HELP = {
     "solves_total": "ILP solves started, by backend",
     "bb_nodes_total": "branch-and-bound nodes explored, by backend",
     "simplex_iterations_total": "simplex pivots across all solves",
-    "warm_start_hits_total": "LP relaxations answered from a warm basis",
-    "warm_start_misses_total": "LP relaxations solved cold",
     "incumbent_seeded_solves_total": "solves seeded with a prior incumbent",
     "presolve_calls_total": "presolve invocations (bb backend)",
     "presolve_fixed_vars_total": "variables fixed by presolve",

@@ -27,7 +27,7 @@ from repro.sched.regions import SchedulingRegion, build_region
 from repro.sched.scheduler import IlpScheduler, ScheduleFeatures, optimize_function
 from repro.sched.list_scheduler import ListScheduler
 from repro.sched.greedy_global import GreedyGlobalScheduler
-from repro.sched.swp import ModuloScheduler, ModuloSchedule
+from repro.sched.swp import ModuloSchedule
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -43,7 +43,6 @@ __all__ = [
     "optimize_function",
     "ListScheduler",
     "GreedyGlobalScheduler",
-    "ModuloScheduler",
     "ModuloSchedule",
     "materialize_counted_loop",
     "recognize_counted_loop",

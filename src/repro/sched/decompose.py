@@ -124,7 +124,6 @@ class StitchedSolution:
             stats.simplex_iterations += sol.stats.simplex_iterations
             stats.time_seconds += sol.stats.time_seconds
             stats.unknown_lps += sol.stats.unknown_lps
-            stats.warm_starts += sol.stats.warm_starts
             stats.backend = sol.stats.backend or stats.backend
             if sol.stats.gap is not None:
                 gaps.append(sol.stats.gap)

@@ -16,10 +16,11 @@ its ILP model; this package is the production version of that extension
     as a standard :class:`repro.ilp.Model`, so either backend (HiGHS or
     the branch-and-bound oracle) solves it.
 ``repro.sched.modulo.ladder``
-    The deadline-aware II search: MII upward with per-rung budget
-    splits, §8-style degradation to the time-indexed ``swp``
-    formulation and finally the unpipelined loop, ``kind="loop"``
-    serve-store caching, and the ``swp.materialize`` chaos site.
+    The deadline-aware II search: :func:`modulo_schedule` climbs II
+    from MII with per-rung budget splits over the modulo ILP;
+    :func:`pipeline_loop` wraps it with ``kind="loop"`` serve-store
+    caching, the ``swp.materialize`` chaos site and §8-style
+    degradation to the unpipelined loop.
 ``repro.sched.modulo.oracle``
     The kernel-vs-unrolled execution oracle: the materialized
     prologue/kernel/epilogue must reproduce the source loop's memory
@@ -33,23 +34,12 @@ from repro.sched.modulo.bounds import (
     resource_mii,
 )
 from repro.sched.modulo.formulation import ModuloIlp
+from repro.sched.modulo.ladder import (
+    LoopPipelineOutcome,
+    modulo_schedule,
+    pipeline_loop,
+)
 from repro.sched.modulo.oracle import OracleReport, kernel_vs_unrolled
-
-# The ladder imports repro.sched.swp (its fallback rung), and swp in turn
-# imports repro.sched.modulo.bounds (the canonical MII code) — which runs
-# this __init__.  Loading the ladder lazily keeps that cycle open no
-# matter which module is imported first.
-_LADDER_EXPORTS = ("LoopPipelineOutcome", "pipeline_loop")
-
-
-def __getattr__(name):
-    if name in _LADDER_EXPORTS:
-        from repro.sched.modulo import ladder
-
-        return getattr(ladder, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 __all__ = [
     "critical_path",
@@ -57,6 +47,7 @@ __all__ = [
     "resource_mii",
     "ModuloIlp",
     "LoopPipelineOutcome",
+    "modulo_schedule",
     "pipeline_loop",
     "OracleReport",
     "kernel_vs_unrolled",

@@ -1,12 +1,12 @@
 """The modulo ILP: a one-hot kernel row plus an integer stage per instruction.
 
-:mod:`repro.sched.swp` keeps a *time-indexed* formulation — binaries
-``x[n,t]`` over an absolute-time horizon — whose size grows with the
-critical path, not the kernel.  This module is the genuinely *modulo*
-formulation: each body instruction n picks one kernel **row**
-``r = t mod II`` through a one-hot binary row ``y[n,r]`` (``Σ_r y = 1``)
-and one **stage** ``k_n = t div II``, an integer column in
-``[0, max_stages − 1]``, so ``t_n = II·k_n + Σ_r r·y[n,r]``.  The model
+A *time-indexed* formulation — binaries ``x[n,t]`` over an
+absolute-time horizon — grows with the critical path, not the kernel.
+This module is the genuinely *modulo* formulation: each body
+instruction n picks one kernel **row** ``r = t mod II`` through a
+one-hot binary row ``y[n,r]`` (``Σ_r y = 1``) and one **stage**
+``k_n = t div II``, an integer column in ``[0, max_stages − 1]``, so
+``t_n = II·k_n + Σ_r r·y[n,r]``.  The model
 has ``|body| · (II + 1)`` columns regardless of how long the unrolled
 schedule runs, a dependence row touches at most ``2·II + 2`` of them,
 and the modulo reservation table is stated directly: the instructions

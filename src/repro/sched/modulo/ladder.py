@@ -10,23 +10,21 @@ no-raise with SWP enabled).
 
 The rungs, in degradation order:
 
-1. **Modulo ILP** (:mod:`repro.sched.modulo.formulation`): for each
-   candidate II from MII upward the remaining ladder budget is split
-   evenly over the remaining rungs, so an early II that is *almost*
-   feasible cannot starve the rest of the climb; either backend solves
-   the model.
-2. **Time-indexed fallback** (:mod:`repro.sched.swp`): the previous
-   formulation, kept as its own rung — a different relaxation
-   occasionally finds a kernel the stage-bounded modulo model rejects
-   (e.g. when the stage budget binds).
-3. **Unpipelined**: the loop stays as the acyclic scheduler left it.
+1. **Modulo ILP** (:func:`modulo_schedule` over
+   :mod:`repro.sched.modulo.formulation`): for each candidate II from
+   MII upward the remaining ladder budget is split evenly over the
+   remaining rungs, so an early II that is *almost* feasible cannot
+   starve the rest of the climb; either backend solves the model.  The
+   first feasible II is optimal, so one exact model per II is the whole
+   search.
+2. **Unpipelined**: the loop stays as the acyclic scheduler left it.
 
 Materialization sits behind the ``swp.materialize`` fault site: any
-injected kind fails that rung's code generation, which must demote the
-outcome down this ladder — chaos runs assert the degradation.  Every
+injected kind fails the kernel's code generation, which must demote the
+outcome to the floor — chaos runs assert the degradation.  Every
 materialized routine must pass the kernel-vs-unrolled oracle
 (:mod:`repro.sched.modulo.oracle`) before it is reported; an oracle
-failure discards the routine and falls to the next rung.
+failure discards the routine and leaves the loop unpipelined.
 
 Kernel schedules are cached in the serve store under a ``kind="loop"``
 fingerprint (:func:`repro.serve.fingerprint.loop_fingerprint`): a hit
@@ -48,7 +46,7 @@ from repro.sched.modulo.formulation import ModuloIlp
 from repro.sched.modulo.oracle import kernel_vs_unrolled
 from repro.sched.swp import (
     ModuloSchedule,
-    ModuloScheduler,
+    body_instructions,
     build_modulo_edges,
 )
 from repro.sched.swp_materialize import (
@@ -68,8 +66,7 @@ class LoopPipelineOutcome:
     """One loop's trip through the ladder (never an exception)."""
 
     loop_header: str
-    status: str  # "pipelined" | "fallback_swp" | "unpipelined"
-    method: str = "none"  # "modulo_ilp" | "time_indexed" | "none"
+    status: str  # "pipelined" | "unpipelined"
     ii: int | None = None
     stages: int = 0
     mii_resource: int = 0
@@ -93,11 +90,10 @@ class LoopPipelineOutcome:
         """One report line, greppable by the smoke jobs."""
         if self.pipelined:
             oracle = "passed" if self.oracle and self.oracle.ok else "FAILED"
-            tag = "" if self.status == "pipelined" else f" [{self.status}]"
             return (
                 f"swp {self.loop_header}: pipelined II={self.ii} "
                 f"(ResMII {self.mii_resource}, RecMII {self.mii_recurrence}), "
-                f"stages {self.stages}, oracle {oracle}{tag}"
+                f"stages {self.stages}, oracle {oracle}"
             )
         return (
             f"swp {self.loop_header}: unpipelined "
@@ -132,7 +128,6 @@ def pipeline_loop(
     solve.
     """
     deadline = deadline if deadline is not None else Deadline(None)
-    extra = solve_extra or {}
     outcome = LoopPipelineOutcome(loop_header=loop.header,
                                   status="unpipelined")
     started = deadline.elapsed()
@@ -141,17 +136,10 @@ def pipeline_loop(
     if counted is None:
         return _finish(outcome, "not_counted", deadline, started)
     try:
-        body = ModuloScheduler._body_instructions(fn, loop)
+        body = body_instructions(fn, loop)
     except SchedulingError as exc:
         outcome.detail["scope"] = str(exc)
         return _finish(outcome, "scope", deadline, started)
-
-    edges = build_modulo_edges(fn, loop, body, ddg)
-    outcome.mii_resource = resource_mii(body, machine)
-    outcome.mii_recurrence = recurrence_mii(body, edges)
-    mii = outcome.mii
-    outcome.detail["body_instructions"] = len(body)
-    outcome.detail["edges"] = len(edges)
 
     # -- rung 0: the kind="loop" cache ---------------------------------------
     cache_key = None
@@ -162,14 +150,15 @@ def pipeline_loop(
         )
 
     if cached_starts is not None:
-        msched = _as_schedule(loop, body, cached_starts, outcome)
+        edges = build_modulo_edges(fn, loop, body, ddg)
+        _record_bounds(body, edges, machine, outcome)
+        msched = _schedule(loop, outcome.ii, cached_starts, outcome)
         produced = _materialize_and_check(
             fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome, trace
         )
         if produced is not None:
             outcome.status = "pipelined"
-            outcome.method = "modulo_ilp"
-            return _finish(outcome, None, deadline, started, msched=msched,
+            return _finish(outcome, None, deadline, started,
                            produced=produced)
         # A cached kernel that fails to materialize or execute is stale:
         # drop to a live solve (and republish on success).
@@ -178,102 +167,114 @@ def pipeline_loop(
         outcome.ii = None
 
     # -- rung 1: the modulo ILP ladder ---------------------------------------
-    ladder_clock = Deadline(time_limit)
-    with _span(trace, "swp.ladder", loop=loop.header, mii=mii):
-        starts, stats = _ii_ladder(
-            body, edges, mii, max_ii, max_stages, machine, backend,
-            deadline, ladder_clock, extra, outcome, trace,
-        )
-    if starts is not None:
-        msched = _as_schedule(loop, body, starts, outcome, stats)
+    msched = modulo_schedule(
+        fn, ddg, loop, machine=machine, backend=backend, max_ii=max_ii,
+        max_stages=max_stages, time_limit=time_limit, deadline=deadline,
+        solve_extra=solve_extra, trace=trace, outcome=outcome,
+    )
+    if msched is not None:
         produced = _materialize_and_check(
             fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome, trace
         )
         if produced is not None:
             outcome.status = "pipelined"
-            outcome.method = "modulo_ilp"
             if cache_key is not None:
                 _cache_publish(store, cache_key, fn, loop, body, msched)
-            return _finish(outcome, None, deadline, started, msched=msched,
+            return _finish(outcome, None, deadline, started,
                            produced=produced)
 
-    # -- rung 2: the time-indexed fallback -----------------------------------
-    remaining = deadline.remaining()
-    if remaining is None or remaining > _RUNG_FLOOR:
-        budget = time_limit
-        if remaining is not None:
-            budget = min(budget or remaining, remaining)
-        fallback = ModuloScheduler(
-            machine=machine, backend=backend, time_limit=budget,
-            max_ii=max_ii,
-        )
-        try:
-            with _span(trace, "swp.fallback", loop=loop.header):
-                msched = fallback.schedule_loop(fn, cfg, ddg, loop)
-        except SchedulingError as exc:
-            outcome.detail["fallback_error"] = str(exc)
-        else:
-            produced = _materialize_and_check(
-                fn, cfg, ddg, loop, msched, counted, oracle_seeds, outcome,
-                trace,
-            )
-            if produced is not None:
-                outcome.status = "fallback_swp"
-                outcome.method = "time_indexed"
-                return _finish(outcome, None, deadline, started,
-                               msched=msched, produced=produced)
-    else:
-        outcome.detail.setdefault("fallback_error", "no budget left")
-
     # -- the floor: unpipelined ----------------------------------------------
-    reason = outcome.fallback_reason or "no_feasible_ii"
-    return _finish(outcome, reason, deadline, started)
+    return _finish(outcome, "no_feasible_ii", deadline, started)
 
 
-# -- ladder internals ---------------------------------------------------------
-def _ii_ladder(body, edges, mii, max_ii, max_stages, machine, backend,
-               deadline, ladder_clock, extra, outcome, trace):
-    """Climb II from MII; returns (start_times, stats) or (None, None)."""
-    rungs = [ii for ii in range(mii, max(max_ii, mii) + 1)]
-    attempts = []
-    outcome.detail["rungs"] = attempts
-    for at, ii in enumerate(rungs):
-        budget = _rung_budget(deadline, ladder_clock, len(rungs) - at)
-        if budget is not None and budget <= 0:
-            outcome.fallback_reason = "deadline"
-            attempts.append({"ii": ii, "status": "skipped", "reason":
-                             "deadline"})
-            return None, None
-        milp = ModuloIlp(body, edges, ii, machine=machine,
-                         max_stages=max_stages)
-        with _span(trace, "swp.solve_ii", ii=ii) as span:
-            solution = solve_model(
-                milp.model,
-                backend=backend,
-                deadline=deadline,
-                time_limit=budget,
-                **extra,
-            )
-            if span is not None:
-                span.set_attr("status", solution.status.name)
-        attempt = {
-            "ii": ii,
-            "status": solution.status.name,
-            "seconds": round(solution.stats.time_seconds, 4),
-            **milp.size,
-        }
-        attempts.append(attempt)
-        if solution:
-            starts = milp.start_times(solution)
-            if starts is not None:
-                outcome.ii = ii
-                return starts, solution.stats
-            attempt["status"] = "CORRUPT"
+def modulo_schedule(
+    fn,
+    ddg,
+    loop,
+    machine=ITANIUM2,
+    backend="highs",
+    max_ii=32,
+    max_stages=4,
+    time_limit=10.0,
+    deadline=None,
+    solve_extra=None,
+    trace=None,
+    outcome=None,
+):
+    """Optimal modulo schedule of a single-block loop (the rung-1 search).
+
+    Takes the loop body and its distance-annotated dependences, computes
+    ``MII = max(ResMII, RecMII)``, then climbs II from MII to ``max_ii``
+    with one :class:`ModuloIlp` per candidate; the first feasible II is
+    optimal.  ``time_limit`` bounds the whole climb and ``deadline`` (a
+    shared routine clock) may cut it shorter.
+
+    Returns a :class:`ModuloSchedule`, or ``None`` when no II admits a
+    kernel within ``max_stages`` stages or the budget ran out.  Raises
+    :class:`SchedulingError` for loops outside the pipelining scope
+    (:func:`repro.sched.swp.body_instructions`).  ``outcome``, a
+    :class:`LoopPipelineOutcome`, receives the bounds, the per-II
+    attempt log and the reason for a ``None``.
+    """
+    deadline = deadline if deadline is not None else Deadline(None)
+    if outcome is None:
+        outcome = LoopPipelineOutcome(loop_header=loop.header,
+                                      status="unpipelined")
+    body = body_instructions(fn, loop)
+    edges = build_modulo_edges(fn, loop, body, ddg)
+    _record_bounds(body, edges, machine, outcome)
+    extra = solve_extra or {}
+    ladder_clock = Deadline(time_limit)
+    rungs = range(outcome.mii, max(max_ii, outcome.mii) + 1)
+    attempts = outcome.detail["rungs"] = []
+    with _span(trace, "swp.ladder", loop=loop.header, mii=outcome.mii):
+        for at, ii in enumerate(rungs):
+            budget = _rung_budget(deadline, ladder_clock, len(rungs) - at)
+            if budget is not None and budget <= 0:
+                outcome.fallback_reason = "deadline"
+                attempts.append({"ii": ii, "status": "skipped",
+                                 "reason": "deadline"})
+                return None
+            milp = ModuloIlp(body, edges, ii, machine=machine,
+                             max_stages=max_stages)
+            with _span(trace, "swp.solve_ii", ii=ii) as span:
+                solution = solve_model(
+                    milp.model,
+                    backend=backend,
+                    deadline=deadline,
+                    time_limit=budget,
+                    **extra,
+                )
+                if span is not None:
+                    span.set_attr("status", solution.status.name)
+            attempt = {
+                "ii": ii,
+                "status": solution.status.name,
+                "seconds": round(solution.stats.time_seconds, 4),
+                **milp.size,
+            }
+            attempts.append(attempt)
+            if solution:
+                starts = milp.start_times(solution)
+                if starts is not None:
+                    outcome.ii = ii
+                    return _schedule(loop, ii, starts, outcome,
+                                     solution.stats)
+                attempt["status"] = "CORRUPT"
     outcome.fallback_reason = (
         "deadline" if deadline.expired or ladder_clock.expired
         else "no_feasible_ii"
     )
-    return None, None
+    return None
+
+
+# -- ladder internals ---------------------------------------------------------
+def _record_bounds(body, edges, machine, outcome):
+    """ResMII, RecMII and the model's input sizes, onto ``outcome``."""
+    outcome.mii_resource = resource_mii(body, machine)
+    outcome.mii_recurrence = recurrence_mii(body, edges)
+    outcome.detail["body_instructions"] = len(body)
+    outcome.detail["edges"] = len(edges)
 
 
 def _rung_budget(deadline, ladder_clock, rungs_left):
@@ -290,10 +291,8 @@ def _rung_budget(deadline, ladder_clock, rungs_left):
     return max(tightest / max(rungs_left, 1), _RUNG_FLOOR)
 
 
-def _as_schedule(loop, body, starts, outcome, stats=None):
-    ii = outcome.ii
+def _schedule(loop, ii, starts, outcome, stats=None):
     stages = 1 + max((t // ii for t in starts.values()), default=0)
-    outcome.stages = stages
     return ModuloSchedule(
         loop_header=loop.header,
         ii=ii,
@@ -416,7 +415,7 @@ def _cache_publish(store, key, fn, loop, body, msched):
 
 
 # -- bookkeeping --------------------------------------------------------------
-def _finish(outcome, reason, deadline, started, msched=None, produced=None):
+def _finish(outcome, reason, deadline, started, produced=None):
     if reason is not None and outcome.fallback_reason is None:
         outcome.fallback_reason = reason
     if produced is not None:

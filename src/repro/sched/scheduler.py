@@ -153,11 +153,10 @@ class ScheduleFeatures:
     decompose_min_instructions: int = 100
     # Software pipelining (repro.sched.modulo): after the acyclic global
     # schedule is produced, modulo-schedule every counted single-block
-    # inner loop through the II ladder (modulo ILP from MII upward, then
-    # the time-indexed formulation, then the unpipelined loop).  Off by
-    # default: the pipelined routine is attached as per-loop
-    # ``OptimizeResult.swp_outcomes`` records, never spliced into the
-    # acyclic ``output_schedule``.
+    # inner loop through the II ladder (modulo ILP from MII upward, else
+    # the unpipelined loop).  Off by default: the pipelined routine is
+    # attached as per-loop ``OptimizeResult.swp_outcomes`` records, never
+    # spliced into the acyclic ``output_schedule``.
     swp: bool = False
     swp_max_ii: int = 32  # II ladder ceiling
     swp_max_stages: int = 4  # stage-count / register-pressure bound
@@ -300,7 +299,6 @@ class OptimizeResult:
         ("solve.phase2", "phase 2"),
         ("verify", "verify"),
         ("swp.ladder", "swp ladder"),
-        ("swp.fallback", "swp fallback"),
         ("swp.materialize", "swp materialize"),
         ("swp.oracle", "swp oracle"),
     )

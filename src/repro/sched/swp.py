@@ -1,49 +1,32 @@
-"""ILP-based software pipelining (modulo scheduling).
+"""Software-pipelining data: loop bodies, carried dependences, kernels.
 
 The paper closes with "currently we are studying ... how [the model] can
-be modified to support software pipelining" — this module is that
-extension: optimal modulo scheduling of single-block innermost loops,
-built on the same ILP substrate.
+be modified to support software pipelining"; :mod:`repro.sched.modulo`
+is that extension.  This module holds the pieces every stage of it
+shares:
 
-Formulation (classic time-indexed modulo scheduling):
+* :func:`body_instructions` — the schedulable body of a single-block
+  loop (header == latch, no calls), mirroring where production
+  compilers apply SWP and exactly the loops the paper's routine
+  selection avoided; the backedge branch is excluded because the
+  kernel's branch recurs implicitly every II cycles;
+* :func:`build_modulo_edges` — dependences with an iteration *distance*:
+  same-iteration edges from the in-block order, loop-carried edges
+  (distance 1) from definitions reaching the next iteration and from
+  carried anti/output/memory pairs; a schedule is feasible when
+  ``t_dst - t_src >= latency - distance · II``;
+* :class:`ModuloSchedule` — one kernel (II, start times), with its
+  kernel rows and stage-annotated prologue/epilogue copies.
 
-* body instructions get binaries ``x[n,t]`` over ``t ∈ 0..T_max`` with
-  ``Σ_t x[n,t] = 1``; branch instructions are excluded (the kernel's
-  backedge branch recurs implicitly every II cycles);
-* dependences carry an iteration *distance*: same-iteration edges from
-  the in-block order, loop-carried edges (distance 1) from definitions
-  reaching the next iteration and from carried anti/output pairs;
-  feasibility requires ``t_n - t_m >= lat - distance · II``, linear in
-  the start-time expressions ``Σ t·x``;
-* modulo resource constraints: for every kernel slot ``s < II`` the
-  instructions with ``t ≡ s (mod II)`` must fit one dispersal window
-  (issue width and per-unit port caps, as in eq. (6)).
-
-Search: II rises from the resource-derived lower bound (ResMII) and the
-recurrence bound (RecMII) until the ILP is feasible — the first feasible
-II is optimal. The result carries kernel, prologue and epilogue
-instruction sequences (stage-annotated copies).
-
-Restrictions: single-block loops (header == latch) without calls or
-further control flow, mirroring where production compilers apply SWP and
-exactly the loops the paper's routine selection avoided.
+The kernel itself comes from the II climb over the modulo ILP,
+:func:`repro.sched.modulo.ladder.modulo_schedule`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SchedulingError
-from repro.ilp import Model, lin_sum, solve_model
-from repro.ir.ddg import DepKind
-from repro.machine.itanium2 import ITANIUM2
-from repro.machine.units import UnitKind
-from repro.sched.modulo.bounds import (
-    critical_path as _critical_path,
-    has_positive_cycle as _has_positive_cycle,
-    recurrence_mii,
-    resource_mii as _resource_mii,
-)
 
 
 @dataclass(frozen=True)
@@ -100,156 +83,28 @@ class ModuloSchedule:
         return out
 
 
-class ModuloScheduler:
-    """Optimal modulo scheduling via the ILP substrate."""
+def body_instructions(fn, loop):
+    """The schedulable body of a single-block loop (no branch, no nop).
 
-    def __init__(self, machine=ITANIUM2, backend="highs", time_limit=30.0,
-                 max_ii=64):
-        self.machine = machine
-        self.backend = backend
-        self.time_limit = time_limit
-        self.max_ii = max_ii
-
-    # -- public ---------------------------------------------------------------
-    def schedule_loop(self, fn, cfg, ddg, loop):
-        """Modulo-schedule a single-block loop; returns ModuloSchedule."""
-        body = self._body_instructions(fn, loop)
-        edges = build_modulo_edges(fn, loop, body, ddg)
-        res_mii = self.resource_mii(body)
-        rec_mii = recurrence_mii(body, edges)
-        ii = max(res_mii, rec_mii, 1)
-        while ii <= self.max_ii:
-            schedule = self._try_ii(body, edges, ii)
-            if schedule is not None:
-                start_times, stats = schedule
-                stages = 1 + max(
-                    (t // ii for t in start_times.values()), default=0
-                )
-                return ModuloSchedule(
-                    loop_header=loop.header,
-                    ii=ii,
-                    start_times=start_times,
-                    stages=stages,
-                    mii_resource=res_mii,
-                    mii_recurrence=rec_mii,
-                    solver_stats=stats,
-                )
-            ii += 1
+    Raises :class:`SchedulingError` for loops outside the pipelining
+    scope: more than one block, a call in the body, or nothing to
+    schedule.
+    """
+    if len(loop.blocks) != 1:
         raise SchedulingError(
-            f"no feasible II up to {self.max_ii} for loop {loop.header}"
+            "modulo scheduling handles single-block loops only"
         )
-
-    # -- pieces ---------------------------------------------------------------
-    @staticmethod
-    def _body_instructions(fn, loop):
-        if len(loop.blocks) != 1:
-            raise SchedulingError(
-                "modulo scheduling handles single-block loops only"
-            )
-        block = fn.block(loop.header)
-        body = [
-            i
-            for i in block.instructions
-            if not i.is_branch and not i.is_nop
-        ]
-        if any(i.is_call for i in block.instructions):
-            raise SchedulingError("loops with calls are not pipelined")
-        if not body:
-            raise SchedulingError("empty loop body")
-        return body
-
-    def resource_mii(self, body):
-        """ResMII: ceil(usage / capacity) over all unit classes.
-
-        The computation lives in :mod:`repro.sched.modulo.bounds` (the
-        canonical MII code shared with the modulo ILP ladder); this
-        method survives as the machine-bound convenience form.
-        """
-        return _resource_mii(body, self.machine)
-
-    def _try_ii(self, body, edges, ii):
-        """Build and solve the time-indexed model for one candidate II."""
-        horizon = ii + _critical_path(body, edges) + 1
-        model = Model(f"swp_ii{ii}")
-        x = {}
-        for instr in body:
-            for t in range(horizon):
-                x[(instr, t)] = model.add_binary(f"x_{instr.uid}_{t}")
-            model.add_constraint(
-                lin_sum(x[(instr, t)] for t in range(horizon)) == 1,
-                name=f"assign_{instr.uid}",
-            )
-
-        start = {
-            instr: lin_sum(
-                t * x[(instr, t)] for t in range(1, horizon)
-            )
-            for instr in body
-        }
-        for index, edge in enumerate(edges):
-            if edge.src not in start or edge.dst not in start:
-                continue
-            bound = edge.latency - edge.distance * ii
-            model.add_constraint(
-                start[edge.dst] - start[edge.src] >= bound,
-                name=f"dep_{index}",
-            )
-
-        ports = self.machine.ports
-        for slot in range(ii):
-            members = [
-                (instr, x[(instr, t)])
-                for instr in body
-                for t in range(slot, horizon, ii)
-            ]
-            total = lin_sum(
-                (2.0 if i.unit is UnitKind.L else 1.0) * v for i, v in members
-            )
-            model.add_constraint(
-                total <= ports.issue_width, name=f"width_{slot}"
-            )
-            self._unit_cap(model, members, (UnitKind.M,), ports.m_ports, slot, "m")
-            self._unit_cap(
-                model, members, (UnitKind.I, UnitKind.L), ports.i_ports, slot, "i"
-            )
-            self._unit_cap(model, members, (UnitKind.F,), ports.f_ports, slot, "f")
-            self._unit_cap(model, members, (UnitKind.B,), ports.b_ports, slot, "b")
-            self._unit_cap(
-                model,
-                members,
-                (UnitKind.A, UnitKind.M, UnitKind.I),
-                ports.m_ports + ports.i_ports,
-                slot,
-                "mi",
-            )
-
-        # Prefer flat schedules (fewer stages -> less prologue/epilogue).
-        model.set_objective(lin_sum(start.values()))
-        solution = solve_model(
-            model, backend=self.backend, time_limit=self.time_limit
-        )
-        if not solution:
-            return None
-        times = {
-            instr: int(
-                round(
-                    sum(
-                        t * solution.value_of(x[(instr, t)])
-                        for t in range(horizon)
-                    )
-                )
-            )
-            for instr in body
-        }
-        return times, solution.stats
-
-    @staticmethod
-    def _unit_cap(model, members, kinds, cap, slot, tag):
-        terms = [v for i, v in members if i.unit in kinds]
-        if len(terms) > cap:
-            model.add_constraint(
-                lin_sum(terms) <= cap, name=f"cap{tag}_{slot}"
-            )
+    block = fn.block(loop.header)
+    body = [
+        i
+        for i in block.instructions
+        if not i.is_branch and not i.is_nop
+    ]
+    if any(i.is_call for i in block.instructions):
+        raise SchedulingError("loops with calls are not pipelined")
+    if not body:
+        raise SchedulingError("empty loop body")
+    return body
 
 
 def build_modulo_edges(fn, loop, body, ddg):
@@ -310,7 +165,3 @@ def build_modulo_edges(fn, loop, body, ddg):
                 edges.append(ModuloEdge(op_a, op_b, 0, 1))
     return edges
 
-
-# recurrence_mii / _critical_path / _has_positive_cycle now live in
-# repro.sched.modulo.bounds (imported above): the MII theory is shared
-# verbatim between this time-indexed formulation and the modulo ILP.

@@ -1,9 +1,9 @@
 """Materializing modulo schedules: prologue / unrolled kernel / epilogue.
 
-:mod:`repro.sched.swp` finds the optimal kernel (II, start times); this
-module turns it into executable code for *counted* loops — the classic
-software-pipelining code generation with **modulo variable expansion**
-(no rotating register file needed):
+:func:`repro.sched.modulo.ladder.modulo_schedule` finds the optimal
+kernel (II, start times); this module turns it into executable code for
+*counted* loops — the classic software-pipelining code generation with
+**modulo variable expansion** (no rotating register file needed):
 
 * the kernel is unrolled ``u = stages`` times; the instance of
   instruction n for logical iteration ℓ writes the renamed register

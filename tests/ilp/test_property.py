@@ -1,11 +1,9 @@
 """Property-based cross-checks between the solver backends."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ilp import BranchBoundSolver, HighsSolver, Model, SimplexSolver
-from scipy import optimize
+from repro.ilp import BranchBoundSolver, HighsSolver, Model
 
 
 @st.composite
@@ -53,27 +51,3 @@ def test_incumbent_satisfies_all_constraints(problem):
     assignment = {x: solution.value_of(x) for x in xs}
     assert model.check_solution(assignment) == []
     assert all(solution.value_of(x) in (0, 1) for x in xs)
-
-
-@given(
-    st.integers(0, 2**31 - 1),
-    st.integers(2, 6),
-    st.integers(1, 5),
-)
-@settings(max_examples=30, deadline=None)
-def test_simplex_matches_scipy_on_random_lps(seed, n, m):
-    rng = np.random.default_rng(seed)
-    a_mat = rng.integers(-3, 4, size=(m, n)).astype(float)
-    b = rng.uniform(0.5, 6.0, size=m)
-    c = rng.integers(-3, 4, size=n).astype(float)
-
-    model = Model()
-    xs = [model.add_var(f"x{i}", lb=0, ub=5) for i in range(n)]
-    for i in range(m):
-        model.add_constraint(sum(a_mat[i, j] * xs[j] for j in range(n)) <= b[i])
-    model.set_objective(sum(c[j] * xs[j] for j in range(n)))
-
-    ours = SimplexSolver().solve(model)
-    ref = optimize.linprog(c, A_ub=a_mat, b_ub=b, bounds=[(0, 5)] * n, method="highs")
-    assert ours.status == "optimal" and ref.success
-    assert ours.objective == pytest.approx(ref.fun, abs=1e-6)

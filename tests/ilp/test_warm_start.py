@@ -1,10 +1,8 @@
-"""Warm-started re-solves, incumbent/cutoff seeding, and node accounting.
+"""Incumbent/cutoff seeding, node accounting, and no-verdict relaxations.
 
-The branch-and-bound rewrite leans on three contracts that must hold on
+The branch-and-bound rewrite leans on two contracts that must hold on
 every model the suite uses:
 
-* a warm-started simplex re-solve (parent basis, child bounds) reaches
-  the same optimum a cold solve reaches;
 * incumbent/cutoff seeding never changes the reported optimum, only the
   work needed to prove it;
 * relaxations that return no verdict ("unknown") demote the result from
@@ -17,7 +15,6 @@ import pytest
 from repro.ilp import (
     BranchBoundSolver,
     Model,
-    SimplexSolver,
     SolveStatus,
     solve_model,
 )
@@ -41,59 +38,9 @@ def _lp(obj, constraints, bounds, integer=False):
     return model, variables
 
 
-def _suite_lps():
-    """The representative LP shapes used across the tests/ilp files."""
-    yield _lp(
-        [-1, -2], [([1, 1], "<=", 4), ([1, 3], "<=", 6)], [(0, None), (0, None)]
-    )[0]
-    yield _lp(
-        [1, 0], [([1, 1], "=", 5), ([1, -1], ">=", -3)], [(None, None), (0, 10)]
-    )[0]
-    yield _lp(
-        [-1, -1],
-        [([1, 0], "<=", 1), ([0, 1], "<=", 1), ([1, 1], "<=", 2)],
-        [(0, None), (0, None)],
-    )[0]
-    yield _lp([-1, -1], [([1, 1], "<=", 10)], [(0, 2), (0, 3)])[0]
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        n, m = 5, 4
-        a_mat = rng.normal(size=(m, n))
-        b = rng.uniform(1, 5, size=m)
-        c = rng.normal(size=n)
-        yield _lp(
-            c.tolist(),
-            [(a_mat[i].tolist(), "<=", b[i]) for i in range(m)],
-            [(0, 10)] * n,
-        )[0]
-
-
-@pytest.mark.parametrize("index", range(8))
-def test_warm_restart_matches_cold_after_bound_change(index):
-    """Parent-basis warm solve == cold solve on tightened child bounds."""
-    model = list(_suite_lps())[index]
-    solver = SimplexSolver()
-    arrays = model.to_arrays()
-    parent = solver.solve_arrays(arrays)
-    assert parent.status == "optimal" and parent.basis is not None
-
-    # Tighten each variable's upper bound in turn (a branching step).
-    for j in range(len(arrays["lb"])):
-        child = dict(arrays)
-        ub = arrays["ub"].copy()
-        hi = ub[j] if np.isfinite(ub[j]) else 4.0
-        ub[j] = max(arrays["lb"][j], 0.5 * hi)
-        child["ub"] = ub
-        warm = solver.solve_arrays(child, warm_basis=parent.basis)
-        cold = solver.solve_arrays(child)
-        assert warm.status == cold.status
-        if cold.status == "optimal":
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_bb_backends_and_seeding_agree(seed):
-    """simplex-engine B&B == scipy-engine B&B == HiGHS, seeded or not."""
+    """B&B == HiGHS, seeded or not."""
     rng = np.random.default_rng(seed)
     n = 10
     weights = rng.integers(1, 12, n)
@@ -107,10 +54,9 @@ def test_bb_backends_and_seeding_agree(seed):
     reference = solve_model(model, backend="highs")
     assert reference.status is SolveStatus.OPTIMAL
 
-    for relaxation in ("scipy", "simplex"):
-        sol = BranchBoundSolver(relaxation=relaxation).solve(model)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(reference.objective)
+    sol = BranchBoundSolver().solve(model)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(reference.objective)
 
     # Seeding with the known optimum keeps the optimum.
     seeded = BranchBoundSolver().solve(model, incumbent=reference.values)
@@ -120,11 +66,6 @@ def test_bb_backends_and_seeding_agree(seed):
     # A cutoff at the optimum means nothing strictly better exists.
     cut = BranchBoundSolver().solve(model, cutoff=reference.objective)
     assert cut.status is SolveStatus.NO_SOLUTION
-
-    # The simplex engine actually exercises the warm path on real trees.
-    warm_sol = BranchBoundSolver(relaxation="simplex").solve(model)
-    if warm_sol.stats.nodes > 1:
-        assert warm_sol.stats.warm_starts > 0
 
 
 def test_node_accounting_counts_every_explored_node():
@@ -201,7 +142,7 @@ def test_rounding_never_returns_infeasible_incumbent(seed):
     if infeasible:
         pytest.skip("presolve already proved infeasibility")
     oracle = _Relaxation(arrays)
-    status, _obj, x, _basis = oracle.solve(arrays["lb"], arrays["ub"])
+    status, _obj, x = oracle.solve(arrays["lb"], arrays["ub"])
     if status != "optimal":
         pytest.skip(f"root relaxation {status}")
     solver = BranchBoundSolver()

@@ -234,8 +234,7 @@ def test_serve_summary_from_live_serve_run(tmp_path):
 def test_swp_summary_from_metrics_dump():
     metrics = {
         "counters": {
-            'swp_loops_total{status="pipelined"}': 4.0,
-            'swp_loops_total{status="fallback_swp"}': 1.0,
+            'swp_loops_total{status="pipelined"}': 5.0,
             'swp_loops_total{status="unpipelined"}': 1.0,
             "swp_ii_at_mii_total": 4.0,
             'swp_oracle_total{result="pass"}': 5.0,
@@ -251,7 +250,7 @@ def test_swp_summary_from_metrics_dump():
     }
     digest = insight.swp_summary(metrics)
     assert digest["loops"] == 6.0
-    assert digest["by_status"]["pipelined"] == 4.0
+    assert digest["by_status"]["pipelined"] == 5.0
     assert digest["pipelined"] == 5.0
     assert digest["pipelined_rate"] == pytest.approx(5 / 6)
     assert digest["ii_at_mii"] == 4.0

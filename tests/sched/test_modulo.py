@@ -7,7 +7,11 @@ property that a materialized pipeline is execution-equivalent to its
 source loop for arbitrary trip counts.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,8 +31,9 @@ from repro.sched.modulo.bounds import (
     resource_mii,
 )
 from repro.sched.modulo.formulation import ModuloIlp
+from repro.obs.core import Trace
 from repro.sched.modulo.ladder import LoopPipelineOutcome, pipeline_loop
-from repro.sched.swp import ModuloScheduler, build_modulo_edges
+from repro.sched.swp import body_instructions, build_modulo_edges
 from repro.tools import faults
 from repro.tools.deadline import Deadline
 from repro.workloads.generator import loop_dominated_family
@@ -87,7 +92,7 @@ def _pipeline(text):
 def _loop_parts(text):
     fn, cfg, ddg = _pipeline(text)
     loop = cfg.loops[0]
-    body = ModuloScheduler._body_instructions(fn, loop)
+    body = body_instructions(fn, loop)
     edges = build_modulo_edges(fn, loop, body, ddg)
     return fn, cfg, ddg, loop, body, edges
 
@@ -253,7 +258,7 @@ def _equivalence_loops():
         cfg = CfgInfo(fn)
         ddg = build_dependence_graph(fn, cfg, compute_liveness(fn))
         loop = cfg.loops[0]
-        body = ModuloScheduler._body_instructions(fn, loop)
+        body = body_instructions(fn, loop)
         edges = build_modulo_edges(fn, loop, body, ddg)
         yield spec.name, (fn, cfg, ddg, loop, body, edges)
 
@@ -359,7 +364,6 @@ def counted_outcome():
 def test_ladder_pipelines_at_mii(counted_outcome):
     outcome, _fn = counted_outcome
     assert outcome.status == "pipelined"
-    assert outcome.method == "modulo_ilp"
     assert outcome.ii == outcome.mii
     assert outcome.oracle and outcome.oracle.ok
     assert "pipelined II=" in outcome.summary()
@@ -403,18 +407,33 @@ def test_ladder_not_counted_is_unpipelined():
 
 def test_ladder_chaos_degrades_never_raises():
     fn, cfg, ddg, loop, _body, _edges = _loop_parts(COUNTED_LOOP)
-    # One materialization fault: the modulo kernel is discarded, the
-    # time-indexed rung still produces a pipelined loop.
+    # One materialization fault discards the only kernel: the loop lands
+    # on the unpipelined floor with the cause recorded.
     with faults.inject("swp.materialize=error:1"):
         outcome = pipeline_loop(fn, cfg, ddg, loop)
-    assert outcome.status == "fallback_swp"
-    assert outcome.method == "time_indexed"
-    assert outcome.oracle and outcome.oracle.ok
-    # Persistent faults exhaust every rung: the loop is left alone.
-    with faults.inject("swp.materialize=error"):
-        outcome = pipeline_loop(fn, cfg, ddg, loop)
+        # The one-shot fault is spent: the next call pipelines.
+        clean = pipeline_loop(fn, cfg, ddg, loop)
     assert outcome.status == "unpipelined"
     assert not outcome.pipelined
+    assert outcome.fallback_reason == "materialize"
+    assert outcome.ii == outcome.mii  # the kernel was found, then dropped
+    assert clean.status == "pipelined"
+    assert clean.oracle and clean.oracle.ok
+
+
+def test_ladder_solves_each_loop_once_under_persistent_fault():
+    """A discarded kernel is not re-solved by a second formulation."""
+    fn, cfg, ddg, loop, _body, _edges = _loop_parts(COUNTED_LOOP)
+    trace = Trace()
+    with faults.inject("swp.materialize=error"):
+        outcome = pipeline_loop(fn, cfg, ddg, loop, trace=trace)
+    assert outcome.status == "unpipelined"
+    assert outcome.fallback_reason == "materialize"
+    names = [record["name"] for record in trace.records]
+    # The fault fires before code generation, so only the II climb and
+    # its per-II solves leave spans — no second search of any kind.
+    assert names.count("swp.ladder") == 1
+    assert set(names) == {"swp.ladder", "swp.solve_ii"}
 
 
 def test_ladder_respects_exhausted_deadline():
@@ -440,6 +459,31 @@ def test_ladder_cache_roundtrip(tmp_path):
     assert second.ii == first.ii
     # The cached rung still executes the oracle before trusting the entry.
     assert second.oracle and second.oracle.ok
+
+
+_SWP_MODULES = (
+    "repro.sched.modulo", "repro.sched.modulo.ladder", "repro.sched.swp",
+)
+
+
+@pytest.mark.parametrize("first", _SWP_MODULES)
+def test_modulo_modules_import_in_any_order(first):
+    """No import cycle between the ladder and the shared SWP data.
+
+    Only the first import of a fresh interpreter can trip a cycle, so
+    leading with each module covers both orders of every pair.
+    """
+    order = (first,) + tuple(m for m in _SWP_MODULES if m != first)
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "; ".join(f"import {name}" for name in order)
+    code += "; from repro.sched.modulo import modulo_schedule, pipeline_loop"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # -- satellite: execution-equivalence property ---------------------------------

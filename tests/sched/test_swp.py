@@ -7,11 +7,9 @@ from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
-from repro.sched.swp import (
-    ModuloScheduler,
-    build_modulo_edges,
-    recurrence_mii,
-)
+from repro.sched.modulo.bounds import recurrence_mii
+from repro.sched.modulo.ladder import modulo_schedule
+from repro.sched.swp import body_instructions, build_modulo_edges
 from repro.workloads.samples import fig5_cyclic_sample
 
 
@@ -30,7 +28,7 @@ def _pipeline(text_or_fn):
 def fig5_schedule():
     fn, cfg, ddg = _pipeline(fig5_cyclic_sample())
     loop = cfg.loops[0]
-    return ModuloScheduler().schedule_loop(fn, cfg, ddg, loop), fn, ddg, loop
+    return modulo_schedule(fn, ddg, loop), fn, ddg, loop
 
 
 def test_ii_equals_recurrence_bound(fig5_schedule):
@@ -101,7 +99,7 @@ def test_resource_bound_loop():
               ".endp"]
     fn, cfg, ddg = _pipeline("\n".join(lines))
     loop = cfg.loops[0]
-    sched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    sched = modulo_schedule(fn, ddg, loop)
     assert sched.mii_resource == 3
     assert sched.ii == 3
 
@@ -122,7 +120,7 @@ def test_multi_block_loop_rejected(loop_fn):
     fn, cfg, ddg = _pipeline(text)
     loop = cfg.loops[0]
     with pytest.raises(SchedulingError):
-        ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+        modulo_schedule(fn, ddg, loop)
 
 
 def test_recurrence_mii_self_edge():
@@ -144,11 +142,7 @@ def test_recurrence_mii_self_edge():
 """
     fn, cfg, ddg = _pipeline(text)
     loop = cfg.loops[0]
-    body = [
-        i
-        for i in fn.block(loop.header).instructions
-        if not i.is_branch and not i.is_nop
-    ]
+    body = body_instructions(fn, loop)
     edges = build_modulo_edges(fn, loop, body, ddg)
     # ld(2) -> add(1) -> ld distance 1: RecMII = 3.
     assert recurrence_mii(body, edges) == 3

@@ -7,7 +7,7 @@ from repro.ir.ddg import build_dependence_graph
 from repro.ir.interp import Interpreter, initial_registers
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo.ladder import modulo_schedule
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -49,7 +49,7 @@ def _pipeline(text):
 def materialized():
     fn, cfg, ddg = _pipeline(COUNTED_LOOP)
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = modulo_schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     return fn, out, msched

@@ -6,7 +6,7 @@ from repro.ir.cfg import CfgInfo
 from repro.ir.ddg import build_dependence_graph
 from repro.ir.liveness import compute_liveness
 from repro.ir.parser import parse_function
-from repro.sched.swp import ModuloScheduler
+from repro.sched.modulo.ladder import modulo_schedule
 from repro.sched.swp_materialize import (
     materialize_counted_loop,
     recognize_counted_loop,
@@ -52,7 +52,7 @@ def test_too_few_trips_fully_unrolled():
     # the unrolled routine must be loop-free yet execute identically.
     fn, cfg, ddg = _pipeline(_counted(1))
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = modulo_schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     assert not CfgInfo(out).loops
@@ -76,7 +76,7 @@ def test_counter_with_data_use_rejected():
 def test_ample_trips_materialize():
     fn, cfg, ddg = _pipeline(_counted(12))
     loop = cfg.loops[0]
-    msched = ModuloScheduler().schedule_loop(fn, cfg, ddg, loop)
+    msched = modulo_schedule(fn, ddg, loop)
     out = materialize_counted_loop(fn, cfg, ddg, loop, msched)
     assert out is not None
     from repro.ir.interp import Interpreter, initial_registers
