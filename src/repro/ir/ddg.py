@@ -13,7 +13,10 @@ Edge kinds and latencies follow Sec. 4 of the paper:
 
 Cross-block edges are added along possible forward (acyclic) paths; the
 in-body anti edges this creates are exactly what keeps loop-carried
-values correct when blocks of a loop are rescheduled.
+values correct when blocks of a loop are rescheduled. A use after a loop
+is also ordered after the loop's definitions and accesses it depends on,
+even when only the back edge links the pair (a latch store and a
+post-loop load).
 """
 
 from __future__ import annotations
@@ -121,9 +124,19 @@ def build_dependence_graph(fn, cfg, liveness):
             return idx_a < idx_b
         return cfg.reaches(block_a, block_b)
 
+    def after_loop(a, b):
+        """Does ``b`` follow a loop that holds ``a`` but not ``b``?"""
+        block_b = positions[b][0]
+        loop = cfg.innermost_loop(positions[a][0])
+        while loop is not None:
+            if block_b not in loop.blocks and cfg.reaches(loop.header, block_b):
+                return True
+            loop = loop.parent
+        return False
+
     _add_true_edges(fn, graph, liveness, positions, path_ordered, cfg)
     _add_false_edges(fn, graph, positions, path_ordered)
-    _add_memory_edges(fn, graph, path_ordered)
+    _add_memory_edges(fn, graph, path_ordered, after_loop)
     _add_call_edges(fn, graph, path_ordered)
     return graph
 
@@ -212,7 +225,7 @@ def _add_false_edges(fn, graph, positions, path_ordered):
                     )
 
 
-def _add_memory_edges(fn, graph, path_ordered):
+def _add_memory_edges(fn, graph, path_ordered, after_loop):
     memory_ops = [
         i
         for i in fn.all_instructions()
@@ -226,6 +239,13 @@ def _add_memory_edges(fn, graph, path_ordered):
             if path_ordered(op_a, op_b):
                 first, second = op_a, op_b
             elif path_ordered(op_b, op_a):
+                first, second = op_b, op_a
+            # An access in a loop's latch reaches a post-loop access only
+            # through the back edge, yet the loop's last iteration precedes
+            # it (the memory analogue of a value escaping the loop).
+            elif after_loop(op_a, op_b):
+                first, second = op_a, op_b
+            elif after_loop(op_b, op_a):
                 first, second = op_b, op_a
             if first is None:
                 continue

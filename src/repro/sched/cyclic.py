@@ -20,7 +20,9 @@ For each eligible instruction n in loop L (header H, latches T) a binary
 * ``Σ_t x[n,B,t] <= 1 - cyc`` for in-loop non-latch blocks — no stray
   in-loop copies whose ordering nothing would protect;
 * outgoing true dependences (n → u) to in-loop consumers are relaxed by
-  ``cyc`` inside the loop: consumers read the previous iteration's value;
+  ``cyc`` inside the loop: consumers read the previous iteration's value,
+  so a local-only anti edge u → n, active with ``cyc``, keeps the latch
+  copy from overwriting that value before u has read it;
 * each loop-carried operand writer w (the DDG's in-loop anti edge n → w)
   is handled by relaxing that anti edge inside the loop by ``cyc`` and
   adding a *local-only* edge (w → n) with w's latency, active only when
@@ -185,6 +187,11 @@ def _wire_site(ilp, site):
         if consumer_block in in_loop:
             ilp.relax_edge(edge, cyc, blocks=in_loop)
             ilp.verify_exempt.append((edge, cyc))
+            # The consumer still reads this iteration's value, so it must
+            # not be overtaken by the latch copy computing the next one:
+            # a local-only anti edge consumer → n, active while cyclic.
+            flipped = DepEdge(edge.dst, instr, DepKind.ANTI, 0, reg=edge.reg)
+            _add_cyclic_local_edge(ilp, flipped, cyc, in_loop)
 
     # Out-of-loop dependence successors must stay *below* the loop while
     # the motion is active. The pre-loop copy satisfies the acyclic
@@ -203,10 +210,11 @@ def _wire_site(ilp, site):
     confined = set()
     for edge in outgoing:
         succ = edge.dst
-        succ_block = region.source_block.get(succ)
-        if succ_block is None or succ_block in in_loop:
-            continue
         if succ is instr or succ in confined or succ not in ilp.info:
+            continue
+        # Extension copies (an ld.s of a post-loop load) have no region
+        # entry; their source block is the original's.
+        if ilp.info[succ].source in in_loop:
             continue
         confined.add(succ)
 
@@ -236,17 +244,7 @@ def _wire_site(ilp, site):
         ilp.relax_edge(edge, cyc, blocks=in_loop)
         ilp.verify_exempt.append((edge, cyc))
         flipped = DepEdge(writer, instr, DepKind.TRUE, max(writer.latency, 0))
-        ilp.add_edge(flipped)
-        ilp.local_only_edges.add(flipped)
-        # Active only while cyclic motion is selected, and only inside the
-        # loop — outside it the edge does not exist at all.
-        ilp.relax_edge(flipped, 1 - cyc, blocks=in_loop)
-        outside = frozenset(
-            b for b in region.cfg.block_names if b not in in_loop
-        )
-        ilp.relax_edge(flipped, 1, blocks=outside)
-        ilp.verify_exempt.append((flipped, 1 - cyc))
-        ilp.verify_scopes[flipped] = in_loop
+        _add_cyclic_local_edge(ilp, flipped, cyc, in_loop)
         # The flipped edge is local-only, so nothing global would stop the
         # writer from leaving the loop while the latch copy still reads it:
         # confine the writer to the loop whenever cyclic motion is active.
@@ -264,3 +262,14 @@ def _wire_site(ilp, site):
 
             ilp.defer(confine_writer)
         site.carried_writers.append(writer)
+
+
+def _add_cyclic_local_edge(ilp, edge, cyc, in_loop):
+    """Add a local-only edge that exists only inside the loop, while cyclic."""
+    ilp.add_edge(edge)
+    ilp.local_only_edges.add(edge)
+    ilp.relax_edge(edge, 1 - cyc, blocks=in_loop)
+    outside = frozenset(b for b in ilp.region.cfg.block_names if b not in in_loop)
+    ilp.relax_edge(edge, 1, blocks=outside)
+    ilp.verify_exempt.append((edge, 1 - cyc))
+    ilp.verify_scopes[edge] = in_loop

@@ -147,3 +147,38 @@ def test_has_path_transitive(diamond_fn):
     add8 = block_b.instructions[2]
     assert graph.has_path(add14, add8)
     assert not graph.has_path(add8, add14)
+
+
+def test_latch_access_orders_post_loop_access():
+    """A latch store reaches post-loop accesses only via the back edge;
+    the memory edges must still order them (loop exit follows it)."""
+    from repro.ir.parser import parse_function
+
+    text = """
+.proc latchmem
+.livein r32, r39
+.liveout r8
+.block B0 freq=1
+  mov r9 = 0
+.block B1 freq=10
+  cmp.ge p16, p17 = r9, 9
+  (p16) br.cond B3
+.block B2 freq=9
+  st8 [r39] = r32
+  adds r9 = r9, 1
+  br B1
+.block B3 freq=1
+  st8 [r39] = r39
+  ld8 r8 = [r39]
+  br.ret b0
+.endp
+"""
+    fn = parse_function(text)
+    graph, _ = _graph(fn)
+    latch_store = fn.block("B2").instructions[0]
+    post_store, post_load = fn.block("B3").instructions[:2]
+    kinds = {
+        (e.dst, e.kind) for e in graph.succs(latch_store) if e.kind.is_memory
+    }
+    assert (post_store, DepKind.MEM_OUTPUT) in kinds
+    assert (post_load, DepKind.MEM_TRUE) in kinds

@@ -14,7 +14,7 @@ routines with all extensions enabled.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.ir.interp import Interpreter, initial_registers
 from repro.ir.parser import parse_function
@@ -107,6 +107,9 @@ def test_collapse_semantics_preserved():
 
 
 @given(seed=st.integers(0, 10**6))
+@example(seed=369)  # a post-loop ld.s rose above a cyclically moved def
+@example(seed=2867)  # a post-loop store rose above the latch's store
+@example(seed=54985)  # a cyclic latch copy overtook an in-loop reader
 @settings(
     max_examples=16,
     deadline=None,
@@ -123,6 +126,33 @@ def test_random_routines_semantics_preserved(seed):
     )
     fn = generate_routine(spec)
     _differential(fn, seeds=(0, 5))
+
+
+def test_post_loop_load_stays_below_latch_store():
+    """The latch store reaches the post-loop load only through the back
+    edge; hoisted above the loop, the load would miss every store."""
+    text = """
+.proc latchstore
+.livein r34, r39
+.liveout r8, r44
+.block B0 freq=1000
+  mov r9 = 0
+.block B1 freq=15000
+  shladd r41 = r39, r34
+  cmp.ge p16, p17 = r9, 15
+  (p16) br.cond B3
+.block B2 freq=14000
+  st8 [r39+16] = r41 cls=glob
+  adds r34 = r34, 8
+  adds r9 = r9, 1
+  br B1
+.block B3 freq=1000
+  shr.u r44 = r41, 6
+  ld8 r8 = [r39+16] cls=stack
+  br.ret b0
+.endp
+"""
+    _differential(parse_function(text))
 
 
 def test_store_value_sequences_preserved():
