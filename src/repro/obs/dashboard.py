@@ -12,12 +12,14 @@ page with:
   delta and re-solve cost per appended bundling cut),
 * the **paper-metric table** (Table 1/2 shape) aggregated from the
   ``paper_metrics`` attribute of every ``optimize`` span,
-* the **schedule-cache panel** (:mod:`repro.serve` hit mix, coalescing
-  and store health, from :func:`repro.obs.insight.serve_summary`),
 * the **fleet-telemetry panel** — outcome mix, reconstructed counters
   and per-family activity from a telemetry-journal rollup
   (:func:`repro.obs.telemetry.journal_rollup`), when one is given,
-* counter / gauge / histogram tables from the metrics dump.
+* the **metric panels** over the metrics dump — one per :data:`PANELS`
+  entry (schedule cache, region decomposition, software pipelining)
+  plus "Other series" for every family no prefix claims, each built by
+  :func:`repro.obs.insight.metric_families` and labelled with the
+  family's ``METRIC_HELP`` text.
 
 The page is **zero-dependency and self-contained by construction**: all
 styling is one inline ``<style>`` block, all charts are inline SVG, and
@@ -29,14 +31,11 @@ any external reference that would make the artifact phone home.
 from __future__ import annotations
 
 import html
+import itertools
 import json
 
-from repro.obs.insight import (
-    aggregate_paper_metrics,
-    decompose_summary,
-    serve_summary,
-    swp_summary,
-)
+from repro.obs.insight import aggregate_paper_metrics, metric_families
+from repro.obs.metrics import METRIC_HELP
 
 # Substrings that would make the page reach outside itself. ``src=`` and
 # ``url(`` cover images/fonts/CSS imports; ``<script`` bans JS outright
@@ -350,119 +349,92 @@ def _paper_section(events):
     return f"<table>{header}{''.join(body)}</table>"
 
 
-def _decompose_rows(metrics):
-    """Partition rows for the cache panel (region decomposition).
+# Subsystem panels of the Metrics section: (title, metric-name prefixes).
+# A family belongs to the first panel with a matching prefix; the rest
+# land in a trailing "Other series" panel, so each series prints once.
+PANELS = (
+    ("Schedule cache", ("cache_", "coalesced_", "serve_")),
+    ("Region decomposition", ("decompose_", "partition_")),
+    ("Software pipelining", ("swp_",)),
+)
 
-    Empty string when no routine decomposed — the panel then shows only
-    the whole-schedule cache series.
-    """
-    digest = decompose_summary(metrics)
-    if not digest["partitions"] and not digest["solves"]:
-        return ""
-    rows = "".join(
-        f"<tr><td class='name'>{_esc(label)}</td><td>{_fmt(value)}</td></tr>"
-        for label, value in (
-            ("partitions solved", digest["partitions"]),
-            ("partition cache hits", digest["cache_hits"]),
-            ("partition cache misses", digest["cache_misses"]),
-            ("partition hit rate", digest["hit_rate"]),
-            ("partition solve time (s)", digest["solve_seconds"]),
-            ("mean per-partition solve (s)", digest["mean_solve_seconds"]),
-        )
-    )
-    return (
-        "<h3>region decomposition</h3>"
-        f"<table><tr><th>series</th><th>value</th></tr>{rows}</table>"
-    )
+_MIX_COLORS = (
+    "#3a8f3a", "#c9a23a", "#b33a3a", "#7a5fb0", "#b06a3a", "#4a7db3",
+)
 
 
-def _cache_section(metrics):
-    """Schedule-cache panel: hit mix bar plus the serve health digest."""
-    digest = serve_summary(metrics)
-    if not digest["requests"] and not digest["size_bytes"]:
-        return (
-            "<p class='note'>no schedule-cache activity recorded</p>"
-            + _decompose_rows(metrics)
-        )
-    hits = digest["hits"]
-    total = max(digest["requests"], 1)
-    colors = {"exact": "#3a8f3a", "family": "#c9a23a", "miss": "#b33a3a"}
-    x, bar = 0.0, []
-    for kind in ("exact", "family", "miss"):
-        w = 400.0 * hits[kind] / total
+def _mix_bar(parts, total):
+    """One stacked bar of ``(label, count)`` parts, each its share of total."""
+    x, rects = 0.0, []
+    for (label, count), color in zip(parts, itertools.cycle(_MIX_COLORS)):
+        w = 400.0 * count / (total or 1)
         if w > 0:
-            bar.append(
+            rects.append(
                 f"<rect x='{x:.1f}' y='1' width='{max(w, 1.0):.1f}' "
-                f"height='14' fill='{colors[kind]}'>"
-                f"<title>{kind}: {hits[kind]:g}</title></rect>"
+                f"height='14' fill='{color}'>"
+                f"<title>{_esc(label)}: {count:g}</title></rect>"
             )
             x += w
-    svg = (
+    return (
         "<svg width='410' height='16' viewBox='0 0 410 16'>"
-        + "".join(bar) + "</svg>"
-    )
-    rows = "".join(
-        f"<tr><td class='name'>{_esc(label)}</td><td>{_fmt(value)}</td></tr>"
-        for label, value in (
-            ("requests", digest["requests"]),
-            ("exact hits", hits["exact"]),
-            ("family hits", hits["family"]),
-            ("misses (cold solves)", hits["miss"]),
-            ("hit rate", digest["hit_rate"]),
-            ("coalesced requests", digest["coalesced"]),
-            ("store errors (absorbed)", digest["store_errors"]),
-            ("corrupt entries dropped", digest["corrupt_entries"]),
-            ("evictions", digest["evictions"]),
-            ("admission timeouts", digest["admission_timeouts"]),
-            ("store size (bytes)", digest["size_bytes"]),
-            ("connections shed (busy)", digest["shed"]),
-            ("drain-flushed connections", digest["drained"]),
-            ("accept errors (absorbed)", digest["accept_errors"]),
-            ("queue depth (last)", digest["queue_depth"]),
-            ("in-flight (last)", digest["inflight"]),
-        )
-    )
-    return (
-        f"<p class='note'>hit mix (exact / family / miss)</p>{svg}"
-        f"<table><tr><th>series</th><th>value</th></tr>{rows}</table>"
-        + _decompose_rows(metrics)
+        + "".join(rects) + "</svg>"
     )
 
 
-def _swp_section(metrics):
-    """Software-pipelining panel: status mix + II-quality health rows."""
-    digest = swp_summary(metrics)
-    if not digest["loops"]:
-        return "<p class='note'>no software-pipelined loops recorded</p>"
-    status_rows = "".join(
-        f"<tr><td class='name'>{_esc(status)}</td><td>{_fmt(count)}</td></tr>"
-        for status, count in sorted(digest["by_status"].items())
+def _hist_cells(stats):
+    return "".join(
+        f"<td>{_fmt(stats[key])}</td>" for key in ("count", "sum", "mean")
     )
-    fallback_mix = ", ".join(
-        f"{reason}: {count:g}"
-        for reason, count in sorted(digest["fallbacks"].items())
-    ) or "none"
-    oracle = digest["oracle"]
-    health_rows = "".join(
-        f"<tr><td class='name'>{_esc(label)}</td><td>{_fmt(value)}</td></tr>"
-        for label, value in (
-            ("loops attempted", digest["loops"]),
-            ("pipelined", digest["pipelined"]),
-            ("pipelined rate", digest["pipelined_rate"]),
-            ("II = MII (modulo-optimal)", digest["ii_at_mii"]),
-            ("II = MII rate", digest["ii_at_mii_rate"]),
-            ("mean II / MII", digest["mean_ii_over_mii"]),
-            ("oracle pass / fail",
-             f"{oracle.get('pass', 0):g} / {oracle.get('fail', 0):g}"),
-            ("fallbacks", fallback_mix),
-            ("kernel cache hit rate", digest["cache_hit_rate"]),
+
+
+def _panel(families):
+    """One metric panel: a counter/gauge table and a histogram table.
+
+    Rows are labelled with the family's ``METRIC_HELP`` text; each label
+    value gets a sub-row, and a labelled counter family its shares plus
+    one stacked mix bar.
+    """
+    if not families:
+        return "<p class='note'>no series recorded</p>"
+    values, hists = [], []
+    for name, fam in families.items():
+        head = (
+            f"<td class='name'>{_esc(METRIC_HELP.get(name, name))}</td>"
+            f"<td class='name'>{_esc(name)}</td>"
         )
-    )
-    return (
-        "<table><tr><th>ladder status</th><th>loops</th></tr>"
-        f"{status_rows}</table>"
-        f"<table><tr><th>series</th><th>value</th></tr>{health_rows}</table>"
-    )
+        subs = sorted(fam["by_label"].items())
+        if fam["kind"] == "histogram":
+            hists.append(f"<tr>{head}{_hist_cells(fam)}</tr>")
+            hists.extend(
+                f"<tr><td class='name'>&nbsp;&nbsp;{_esc(value)}</td><td></td>"
+                f"{_hist_cells(stats)}</tr>"
+                for value, stats in subs
+            )
+            continue
+        total = fam["total"]
+        mix = fam["kind"] == "counter" and subs and total
+        bar = _mix_bar(subs, total) if mix else ""
+        values.append(
+            f"<tr>{head}<td>{_fmt(total)}</td><td class='name'>{bar}</td></tr>"
+        )
+        values.extend(
+            f"<tr><td class='name'>&nbsp;&nbsp;{_esc(value)}</td><td></td>"
+            f"<td>{_fmt(count)}</td>"
+            f"<td>{f'{count / total:.1%}' if mix else ''}</td></tr>"
+            for value, count in subs
+        )
+    parts = []
+    if values:
+        parts.append(
+            "<table><tr><th>series</th><th>metric</th><th>value</th>"
+            f"<th>share</th></tr>{''.join(values)}</table>"
+        )
+    if hists:
+        parts.append(
+            "<table><tr><th>series</th><th>metric</th><th>count</th>"
+            f"<th>sum</th><th>mean</th></tr>{''.join(hists)}</table>"
+        )
+    return "".join(parts)
 
 
 def _telemetry_section(telemetry):
@@ -470,25 +442,10 @@ def _telemetry_section(telemetry):
     if not telemetry or not telemetry.get("records"):
         return "<p class='note'>no telemetry journal provided</p>"
     outcomes = telemetry.get("outcomes") or {}
-    non_probe = max(telemetry.get("requests") or 0, 1)
-    colors = {
-        "ok": "#3a8f3a", "busy": "#c9a23a", "error": "#b33a3a",
-        "drained": "#7a5fb0", "fault": "#b06a3a",
-    }
-    x, bar = 0.0, []
-    for outcome in ("ok", "busy", "error", "drained", "fault"):
-        count = outcomes.get(outcome, 0)
-        w = 400.0 * count / non_probe
-        if w > 0:
-            bar.append(
-                f"<rect x='{x:.1f}' y='1' width='{max(w, 1.0):.1f}' "
-                f"height='14' fill='{colors[outcome]}'>"
-                f"<title>{outcome}: {count}</title></rect>"
-            )
-            x += w
-    svg = (
-        "<svg width='410' height='16' viewBox='0 0 410 16'>"
-        + "".join(bar) + "</svg>"
+    svg = _mix_bar(
+        [(outcome, outcomes.get(outcome, 0))
+         for outcome in ("ok", "busy", "error", "drained", "fault")],
+        telemetry.get("requests") or 0,
     )
     counters = telemetry.get("counters") or {}
     latency = telemetry.get("latency") or {}
@@ -538,38 +495,18 @@ def _telemetry_section(telemetry):
 
 
 def _metrics_section(metrics):
-    if not metrics:
-        return "<p class='note'>no metrics dump provided</p>"
-    parts = []
-    for section in ("counters", "gauges"):
-        series = metrics.get(section, {})
-        if not series:
-            continue
-        rows = "".join(
-            f"<tr><td class='name'>{_esc(name)}</td>"
-            f"<td>{_fmt(value)}</td></tr>"
-            for name, value in sorted(series.items())
-        )
-        parts.append(
-            f"<h3>{section}</h3><table><tr><th>series</th><th>value</th>"
-            f"</tr>{rows}</table>"
-        )
-    hists = metrics.get("histograms", {})
-    if hists:
-        rows = "".join(
-            "<tr>"
-            f"<td class='name'>{_esc(name)}</td>"
-            f"<td>{_fmt(h.get('count'))}</td>"
-            f"<td>{_fmt(h.get('sum'))}</td>"
-            f"<td>{_fmt((h.get('sum') or 0) / h['count']) if h.get('count') else '-'}</td>"
-            "</tr>"
-            for name, h in sorted(hists.items())
-        )
-        parts.append(
-            "<h3>histograms</h3><table><tr><th>series</th><th>count</th>"
-            f"<th>sum</th><th>mean</th></tr>{rows}</table>"
-        )
-    return "\n".join(parts) or "<p class='note'>metrics dump is empty</p>"
+    """The subsystem panels plus "Other series": each series once."""
+    claimed = set()
+    parts = [] if metrics else ["<p class='note'>no metrics dump provided</p>"]
+    for title, prefixes in PANELS + (("Other series", ("",)),):
+        families = {
+            name: fam
+            for name, fam in metric_families(metrics, prefixes).items()
+            if name not in claimed
+        }
+        claimed.update(families)
+        parts.append(f"<h3>{_esc(title)}</h3>{_panel(families)}")
+    return "\n".join(parts)
 
 
 # -- entry points -------------------------------------------------------------
@@ -597,8 +534,6 @@ def render_dashboard(trace=None, metrics=None, title="tia observatory",
         "<h2>Gap timelines</h2>", _gap_section(events),
         "<h2>Bundling-cut effectiveness</h2>", _cut_section(events),
         "<h2>Paper metrics (Table 1/2 shape)</h2>", _paper_section(events),
-        "<h2>Schedule cache</h2>", _cache_section(metrics),
-        "<h2>Software pipelining</h2>", _swp_section(metrics),
         "<h2>Fleet telemetry</h2>", _telemetry_section(telemetry),
         "<h2>Metrics</h2>", _metrics_section(metrics),
         "</body></html>",

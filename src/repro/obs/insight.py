@@ -20,12 +20,17 @@ layer those diagnostics travel on:
 * :func:`paper_metrics` / :func:`aggregate_paper_metrics` — the
   Table 1/2-shaped static metrics of one ``OptimizeResult`` and their
   cross-routine aggregation.
+* :func:`metric_families` — a ``--metrics`` dump folded into per-family
+  totals and label breakdowns, selected by metric-name prefix (what the
+  dashboard's subsystem panels and the CI smoke digests read).
 
 Everything here is stdlib-only plain data: no numpy arrays, no solver
 objects, nothing that cannot ride a pickle or a JSON dump.
 """
 
 from __future__ import annotations
+
+import re
 
 GAP_EPS = 1e-12
 
@@ -260,169 +265,6 @@ _SUMMED = (
 )
 
 
-def serve_summary(metrics):
-    """Schedule-cache health digest from a ``--metrics`` dump.
-
-    ``metrics`` is :func:`repro.obs.export.metrics_dict` output —
-    ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` with
-    labelled series rendered as ``name{k="v"}`` keys.  Returns
-    ``{"requests", "hits": {exact, family, miss}, "hit_rate",
-    "coalesced", "solves", "store_errors", "corrupt_entries",
-    "evictions", "admission_timeouts", "size_bytes", "shed",
-    "drained", "accept_errors", "queue_depth", "inflight"}`` — the
-    numbers behind the dashboard's cache panel and the CI serve-smoke
-    artifact.  The last five come from the fleet daemon
-    (:mod:`repro.serve.fleet`): load-shed and drain-flushed connection
-    counts plus the latest queue-depth/in-flight gauges.  All fields
-    are plain ints/floats and default to zero, so the digest is safe
-    on an obs-disabled (empty) dump.
-    """
-    metrics = metrics or {}
-    counters = metrics.get("counters", {}) or {}
-    gauges = metrics.get("gauges", {}) or {}
-
-    def _sum(section, prefix):
-        return sum(
-            value for key, value in section.items()
-            if (key == prefix or key.startswith(prefix + "{"))
-            and isinstance(value, (int, float))
-        )
-
-    hits = {
-        kind: _sum(counters, f'cache_hits_total{{kind="{kind}"}}')
-        for kind in ("exact", "family", "miss")
-    }
-    requests = sum(hits.values())
-    served = hits["exact"] + hits["family"]
-    return {
-        "requests": requests,
-        "hits": hits,
-        "hit_rate": served / requests if requests else 0.0,
-        "coalesced": _sum(counters, "coalesced_requests_total"),
-        "solves": hits["miss"],
-        "store_errors": _sum(counters, "cache_store_errors_total"),
-        "corrupt_entries": _sum(counters, "cache_corrupt_entries_total"),
-        "evictions": _sum(counters, "cache_evictions_total"),
-        "admission_timeouts": _sum(counters, "serve_admission_timeouts_total"),
-        "size_bytes": _sum(gauges, "cache_size_bytes"),
-        "shed": _sum(counters, "serve_shed_total"),
-        "drained": _sum(counters, "serve_drained_total"),
-        "accept_errors": _sum(counters, "serve_accept_errors_total"),
-        "queue_depth": _sum(gauges, "serve_conn_queue_depth"),
-        "inflight": _sum(gauges, "serve_inflight"),
-    }
-
-
-def decompose_summary(metrics):
-    """Region-decomposition digest from a ``--metrics`` dump.
-
-    Same input shape as :func:`serve_summary`.  Returns
-    ``{"partitions", "cache_hits", "cache_misses", "hit_rate",
-    "solves", "solve_seconds", "mean_solve_seconds"}`` — the numbers
-    behind the dashboard's partition rows and the CI decompose-smoke
-    artifact.  ``partitions`` counts partitions solved across all
-    decomposed routines (``decompose_partitions_total``); the cache
-    fields come from the per-partition schedule-cache probe in
-    :mod:`repro.sched.decompose`.  All fields default to zero, so the
-    digest is safe on an obs-disabled (empty) dump.
-    """
-    metrics = metrics or {}
-    counters = metrics.get("counters", {}) or {}
-    histograms = metrics.get("histograms", {}) or {}
-
-    def _sum(section, prefix, field=None):
-        total = 0.0
-        for key, value in section.items():
-            if key != prefix and not key.startswith(prefix + "{"):
-                continue
-            if field is not None:
-                value = (value or {}).get(field, 0)
-            if isinstance(value, (int, float)):
-                total += value
-        return total
-
-    hits = _sum(counters, "partition_cache_hits_total")
-    misses = _sum(counters, "partition_cache_misses_total")
-    probes = hits + misses
-    solves = _sum(histograms, "partition_solve_seconds", field="count")
-    seconds = _sum(histograms, "partition_solve_seconds", field="sum")
-    return {
-        "partitions": _sum(counters, "decompose_partitions_total"),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "hit_rate": hits / probes if probes else 0.0,
-        "solves": solves,
-        "solve_seconds": seconds,
-        "mean_solve_seconds": seconds / solves if solves else 0.0,
-    }
-
-
-def swp_summary(metrics):
-    """Software-pipelining digest from a ``--metrics`` dump.
-
-    Same input shape as :func:`serve_summary`.  Returns ``{"loops",
-    "by_status": {status: n}, "pipelined", "pipelined_rate", "ii_at_mii",
-    "ii_at_mii_rate", "mean_ii_over_mii", "oracle": {"pass": n, "fail":
-    n}, "fallbacks": {reason: n}, "cache_hits", "cache_misses",
-    "cache_hit_rate"}`` — the numbers behind the dashboard's SWP panel
-    and the CI swp-smoke artifact.  ``ii_at_mii_rate`` is the fraction
-    of *pipelined* loops whose achieved II equals max(ResMII, RecMII) —
-    the paper-style optimality headline the sweep's 80% acceptance bar
-    reads.  All fields default to zero/empty, so the digest is safe on
-    an obs-disabled (empty) dump.
-    """
-    metrics = metrics or {}
-    counters = metrics.get("counters", {}) or {}
-    histograms = metrics.get("histograms", {}) or {}
-
-    def _by_label(prefix, label):
-        out = {}
-        marker = f'{prefix}{{{label}="'
-        for key, value in counters.items():
-            if not key.startswith(marker):
-                continue
-            if not isinstance(value, (int, float)):
-                continue
-            name = key[len(marker):].split('"', 1)[0]
-            out[name] = out.get(name, 0) + value
-        return out
-
-    def _sum(section, prefix, field=None):
-        total = 0.0
-        for key, value in section.items():
-            if key != prefix and not key.startswith(prefix + "{"):
-                continue
-            if field is not None:
-                value = (value or {}).get(field, 0)
-            if isinstance(value, (int, float)):
-                total += value
-        return total
-
-    by_status = _by_label("swp_loops_total", "status")
-    loops = sum(by_status.values())
-    pipelined = by_status.get("pipelined", 0)
-    at_mii = _sum(counters, "swp_ii_at_mii_total")
-    ratio_count = _sum(histograms, "swp_ii_over_mii", field="count")
-    ratio_sum = _sum(histograms, "swp_ii_over_mii", field="sum")
-    hits = _sum(counters, "swp_cache_hits_total")
-    misses = _sum(counters, "swp_cache_misses_total")
-    probes = hits + misses
-    return {
-        "loops": loops,
-        "by_status": by_status,
-        "pipelined": pipelined,
-        "pipelined_rate": pipelined / loops if loops else 0.0,
-        "ii_at_mii": at_mii,
-        "ii_at_mii_rate": at_mii / ratio_count if ratio_count else 0.0,
-        "mean_ii_over_mii": ratio_sum / ratio_count if ratio_count else 0.0,
-        "oracle": _by_label("swp_oracle_total", "result"),
-        "fallbacks": _by_label("swp_fallbacks_total", "reason"),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "cache_hit_rate": hits / probes if probes else 0.0,
-    }
-
-
 def aggregate_paper_metrics(rows):
     """Cross-routine run summary in the shape of Table 1's bottom row.
 
@@ -453,3 +295,56 @@ def aggregate_paper_metrics(rows):
         if values:
             summary["total"][key] = sum(values)
     return summary
+
+
+# -- metrics-dump digest ------------------------------------------------------
+def _label_value(labels):
+    """``k="v",k2="w"`` (a dump key's label part) -> ``"v,w"``."""
+    return ",".join(re.findall(r'="([^"]*)"', labels))
+
+
+def _hist_stats(count, total):
+    mean = total / count if count else 0.0
+    return {"count": count, "sum": total, "mean": mean}
+
+
+def metric_families(metrics, prefixes):
+    """Metric families of a ``--metrics`` dump whose names start with a prefix.
+
+    ``metrics`` is :func:`repro.obs.export.metrics_dict` output —
+    ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` with
+    labelled series rendered as ``name{k="v"}`` keys.  Returns
+    ``{name: {"kind", "total", "by_label"}}``: ``kind`` is ``counter``,
+    ``gauge`` or ``histogram``, ``total`` sums the family's series and
+    ``by_label`` maps each label value (several labels join as
+    ``"v,w"``) to its series.  A histogram family also carries
+    ``count``, ``sum`` and ``mean``; its ``total`` is the observation
+    count and each ``by_label`` entry is a ``{count, sum, mean}`` dict.
+    ``None`` or an empty dump gives ``{}``; ``prefixes=("",)`` selects
+    every family.
+    """
+    metrics, prefixes = metrics or {}, tuple(prefixes)
+    families = {}
+    for section, kind in (
+        ("counters", "counter"), ("gauges", "gauge"),
+        ("histograms", "histogram"),
+    ):
+        for key, value in sorted((metrics.get(section) or {}).items()):
+            name, _, labels = key.partition("{")
+            if not name.startswith(prefixes):
+                continue
+            family = families.setdefault(
+                name, {"kind": kind, "total": 0.0, "by_label": {}}
+            )
+            if kind == "histogram":
+                value = _hist_stats(value["count"], value["sum"])
+                family.update(_hist_stats(
+                    family["total"] + value["count"],
+                    family.get("sum", 0.0) + value["sum"],
+                ))
+                family["total"] = family["count"]
+            else:
+                family["total"] += value
+            if labels:
+                family["by_label"][_label_value(labels)] = value
+    return families

@@ -122,6 +122,28 @@ METRIC_HELP = {
         "partition schedule-cache probes that found no usable entry",
     "partition_solve_seconds":
         "wall-clock cost of one partition's sub-pipeline",
+    "swp_loops_total": "loops tried by the modulo ladder, by final status",
+    "swp_fallbacks_total": "loops left unpipelined, by fallback reason",
+    "swp_oracle_total": "execution-oracle checks of pipelined loops",
+    "swp_ii_at_mii_total":
+        "pipelined loops whose II equals max(ResMII, RecMII)",
+    "swp_ii_over_mii": "achieved II over MII per pipelined loop",
+    "swp_cache_hits_total": "loop kernel-cache probes answered from the store",
+    "swp_cache_misses_total":
+        "loop kernel-cache probes that found no usable entry",
+    "serve_shed_total": "fleet connections shed at admission, by reason",
+    "serve_drained_total": "queued fleet connections busy-replied by a drain",
+    "serve_accept_errors_total":
+        "fleet accept-path failures absorbed by the accept loop",
+    "serve_completed_total": "fleet requests answered with a schedule",
+    "serve_drain_errors_total": "fleet drains that failed before the flush",
+    "serve_conn_queue_depth": "fleet connections queued for a worker",
+    "serve_inflight": "fleet connections being handled by a worker",
+    "journal_write_errors_total": "telemetry-journal appends that failed",
+    "journal_shards_evicted_total":
+        "telemetry-journal shards deleted by the size budget",
+    "journal_shards_quarantined_total":
+        "corrupt telemetry-journal shards moved aside by verify",
 }
 
 

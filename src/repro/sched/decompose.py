@@ -51,7 +51,9 @@ Failure discipline: any partition failure — degrade, infeasibility,
 verifier-relevant inconsistency, an injected ``decompose.stitch`` fault —
 abandons decomposition and falls back to the whole-function pipeline.
 The caller (:class:`repro.sched.scheduler.IlpScheduler`) treats ``None``
-as "solve whole".
+pieces as "solve whole". When every partition solved and only the stitch
+failed, the partitions' achieved block lengths seed that fallback as a
+``length_hint``, so it does not start cold.
 
 Per-partition caching: when the scheduler carries a ``partition_store``
 (:class:`repro.serve.store.ScheduleStore`), each partition gets its own
@@ -369,10 +371,14 @@ def _attach_cache(scheduler, parts, trace):
             if isinstance(lengths, dict) and lengths:
                 hint = lengths
         part.hint = hint
-        name = "partition_cache_hits" if hint else "partition_cache_misses"
-        trace.count(name)
-        if obs.ENABLED:
-            obs.counter(name + "_total")
+        if hint:
+            trace.count("partition_cache_hits")
+            if obs.ENABLED:
+                obs.counter("partition_cache_hits_total")
+        else:
+            trace.count("partition_cache_misses")
+            if obs.ENABLED:
+                obs.counter("partition_cache_misses_total")
 
 
 def _store_partition(store, part, pieces):
@@ -629,23 +635,28 @@ def _stitch(work, region, ddg, parts, solved):
 def try_decomposed_pipeline(
     scheduler, work, liveness, ddg, region, deadline, messages, trace
 ):
-    """Attempt the decomposed pipeline; ``None`` means "solve whole".
+    """Attempt the decomposed pipeline: ``(pieces, fallback_hint)``.
 
-    Never raises for pipeline failures (a partition degrade, a stitch
-    fault, an analysis error all return ``None`` with a message); the
-    one exception is :class:`~repro.tools.faults.FaultConfigError`,
+    ``pieces`` of ``None`` means "solve whole".  ``fallback_hint`` is
+    ``None`` unless every partition solved and the stitch failed after
+    them; it then maps each block to the length its partition achieved,
+    a ``length_hint`` for the whole-function fallback.  Never raises
+    for pipeline failures (a partition degrade, a stitch fault, an
+    analysis error all return ``pieces`` of ``None`` with a message);
+    the one exception is :class:`~repro.tools.faults.FaultConfigError`,
     which is a driver misconfiguration and must propagate.
     """
     features = scheduler.features
     if not features.decompose:
-        return None
+        return None, None
     total = sum(len(block.instructions) for block in work.blocks)
     if total < features.decompose_min_instructions:
-        return None
+        return None, None
+    parts = solved = None
     try:
         partitions = plan_partitions(region, features)
         if partitions is None:
-            return None
+            return None, None
         specs = partition_specs(work, liveness, partitions)
         stub_freq = stub_frequency(work, region_freq_cap(region))
         with trace.span("decompose", partitions=len(specs)) as span:
@@ -661,7 +672,7 @@ def try_decomposed_pipeline(
                 messages.append(
                     "decomposition abandoned; solving the whole function"
                 )
-                return None
+                return None, None
             pieces = _stitch(work, region, ddg, parts, solved)
             store = getattr(scheduler, "partition_store", None)
             for part, part_pieces in zip(parts, solved):
@@ -674,7 +685,23 @@ def try_decomposed_pipeline(
             f"decomposition abandoned ({type(exc).__name__}: {exc}); "
             "solving the whole function"
         )
-        return None
+        return None, _solved_lengths(parts, solved) if solved else None
     trace.count("decompose_partitions", len(parts))
     messages.append(f"decomposed into {len(parts)} partitions")
-    return pieces
+    return pieces, None
+
+
+def _solved_lengths(parts, solved):
+    """Block lengths the solved partitions achieved, keyed by block name.
+
+    Each block takes its length from the partition that owns it.  An exit
+    stub is named after the next partition's entry block and is never
+    scheduled, so it must not overwrite that block's length.
+    """
+    lengths = {}
+    for part, pieces in zip(parts, solved):
+        schedule = pieces.reconstruction.schedule
+        for name in schedule.block_order:
+            if name != part.spec.exit:
+                lengths[name] = schedule.block_length(name)
+    return lengths

@@ -379,10 +379,10 @@ def _cache_probe(store, fn, loop, features, machine, body, outcome):
                 outcome.ii = ii
     outcome.cache = "hit" if starts is not None else "miss"
     if obs.ENABLED:
-        obs.counter(
-            "swp_cache_hits_total" if starts is not None
-            else "swp_cache_misses_total"
-        )
+        if starts is not None:
+            obs.counter("swp_cache_hits_total")
+        else:
+            obs.counter("swp_cache_misses_total")
     return key, starts
 
 

@@ -407,18 +407,22 @@ class IlpScheduler:
 
         messages = []
         try:
-            pieces = None
+            pieces = stitch_hint = None
             if features.decompose:
                 from repro.sched.decompose import try_decomposed_pipeline
 
-                pieces = try_decomposed_pipeline(
+                pieces, stitch_hint = try_decomposed_pipeline(
                     self, work, liveness, ddg, region, deadline, messages,
                     trace,
                 )
             if pieces is None:
+                # A failed stitch leaves solved partitions behind: their
+                # block lengths seed the whole-function fallback, which
+                # would otherwise start cold and burn the deadline.
                 pieces = self._run_pipeline(
                     work, region, input_schedule, deadline, messages, trace,
-                    length_hint=length_hint,
+                    length_hint=stitch_hint or length_hint,
+                    hint_from="partitions" if stitch_hint else "family",
                 )
         except faults.FaultConfigError:
             raise  # driver misconfiguration, not a routine failure
@@ -626,10 +630,11 @@ class IlpScheduler:
     # -- pipeline ---------------------------------------------------------------
     def _run_pipeline(
         self, work, region, input_schedule, deadline, messages, trace,
-        length_hint=None,
+        length_hint=None, hint_from="family",
     ):
         """Phase 1 + bundling-cut loop + phase 2; raises ``_Degrade`` when
-        no ILP schedule can be produced within the budgets."""
+        no ILP schedule can be produced within the budgets.  ``hint_from``
+        names the source of ``length_hint`` (a key of ``_HINT_SOURCES``)."""
         features = self.features
         lengths = lengths_from_input(
             input_schedule, work, reserve=features.reserve
@@ -638,9 +643,9 @@ class IlpScheduler:
             tightened = apply_length_hint(lengths, length_hint)
             if tightened is not None:
                 lengths = tightened
-                trace.count("family_hint_applied")
+                trace.count(f"{hint_from}_hint_applied")
                 messages.append(
-                    "seeded cycle ranges from a cache-family near miss"
+                    f"seeded cycle ranges from {_HINT_SOURCES[hint_from]}"
                 )
         bundling_cuts = []
         # Decoupled retry budgets: cycle-range growths are counted per
@@ -1013,6 +1018,14 @@ def _solve_extra(features):
     if features.backend == "highs":
         return {"heuristic_effort": features.heuristic_effort}
     return {}
+
+
+# Where a ``length_hint`` came from: the prefix of its ``*_hint_applied``
+# trace counter, and the phrase of its routine message.
+_HINT_SOURCES = {
+    "family": "a cache-family near miss",
+    "partitions": "the solved partitions of a failed stitch",
+}
 
 
 def apply_length_hint(lengths, hint):

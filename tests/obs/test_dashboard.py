@@ -1,11 +1,13 @@
 """HTML dashboard: renders from every artifact form, stays self-contained."""
 
 import json
+from html import escape
 
 import pytest
 
 from repro.ir.parser import parse_function
 from repro.obs import dashboard, export
+from repro.obs.metrics import METRIC_HELP
 from repro.sched.scheduler import ScheduleFeatures, optimize_function
 
 CUT_TRIGGER = """
@@ -100,75 +102,112 @@ def test_load_artifact_rejects_unknown_shape(tmp_path):
         dashboard.load_artifact(path)
 
 
-def test_cache_panel_renders_from_metrics():
-    metrics = {
-        "counters": {
-            'cache_hits_total{kind="exact"}': 5.0,
-            'cache_hits_total{kind="miss"}': 5.0,
-            "coalesced_requests_total": 2.0,
+# One dump that feeds every panel, the catch-all included.
+MIXED = {
+    "counters": {
+        'cache_hits_total{kind="exact"}': 6.0,
+        'cache_hits_total{kind="miss"}': 2.0,
+        "coalesced_requests_total": 2.0,
+        'serve_shed_total{reason="queue_full"}': 1.0,
+        "decompose_partitions_total": 4.0,
+        "partition_cache_hits_total": 3.0,
+        "partition_cache_misses_total": 1.0,
+        'swp_loops_total{status="pipelined"}': 3.0,
+        'swp_loops_total{status="unpipelined"}': 1.0,
+        'swp_oracle_total{result="pass"}': 3.0,
+        'swp_fallbacks_total{reason="not_counted"}': 1.0,
+        "swp_cache_hits_total": 1.0,
+        'solves_total{backend="highs"}': 5.0,
+    },
+    "gauges": {"cache_size_bytes": 4096.0, "serve_inflight": 1.0},
+    "histograms": {
+        'serve_request_seconds{kind="exact"}': {
+            "buckets": {"+Inf": 6}, "sum": 0.06, "count": 6,
         },
-        "gauges": {},
-        "histograms": {},
+        "partition_solve_seconds": {
+            "buckets": {"+Inf": 4}, "sum": 2.0, "count": 4,
+        },
+        "swp_ii_over_mii": {"buckets": {"+Inf": 3}, "sum": 3.3, "count": 3},
+        'solve_seconds{backend="highs"}': {
+            "buckets": {"+Inf": 5}, "sum": 1.0, "count": 5,
+        },
+    },
+}
+
+
+def _panels(html):
+    """Panel title -> that panel's HTML (up to the next panel)."""
+    chunks = html.split("<h3>")[1:]
+    return {
+        chunk.split("</h3>", 1)[0]: chunk.split("</h3>", 1)[1].strip()
+        for chunk in chunks
     }
-    html = dashboard.render_dashboard(metrics=metrics)
-    assert dashboard.validate_self_contained(html) == []
-    assert "Schedule cache" in html
-    assert "hit mix" in html
-    assert "coalesced requests" in html
 
 
-def test_cache_panel_degrades_without_activity():
-    html = dashboard.render_dashboard(metrics={"counters": {}, "gauges": {}})
-    assert "no schedule-cache activity recorded" in html
-    assert "region decomposition" not in html
+@pytest.mark.parametrize(
+    "title,prefixes",
+    dashboard.PANELS,
+    ids=[t.lower().replace(" ", "_") for t, _ in dashboard.PANELS],
+)
+def test_panel_renders_and_degrades(title, prefixes):
+    html = dashboard.render_dashboard(metrics=MIXED)
     assert dashboard.validate_self_contained(html) == []
+    body = _panels(html)[title]
+    names = {key.split("{")[0] for series in MIXED.values() for key in series}
+    claimed = sorted(n for n in names if n.startswith(prefixes))
+    assert claimed
+    for name in claimed:
+        assert f">{name}<" in body
+        assert f">{escape(METRIC_HELP[name])}<" in body
+    assert "no series recorded" not in body
+    for metrics in (None, {"counters": {}, "gauges": {}}):
+        html = dashboard.render_dashboard(metrics=metrics)
+        assert dashboard.validate_self_contained(html) == []
+        assert _panels(html)[title] == "<p class='note'>no series recorded</p>"
+
+
+def test_every_series_lands_in_exactly_one_panel():
+    panels = _panels(dashboard.render_dashboard(metrics=MIXED))
+    assert list(panels) == [t for t, _ in dashboard.PANELS] + ["Other series"]
+    for section in MIXED.values():
+        for key in section:
+            name, _, labels = key.partition("{")
+            homes = [t for t, body in panels.items() if f">{name}<" in body]
+            assert len(homes) == 1, (key, homes)
+            if labels:
+                value = labels.split('"')[1]
+                assert f"&nbsp;&nbsp;{value}<" in panels[homes[0]], key
+
+
+def test_cache_panel_renders_from_metrics():
+    body = _panels(dashboard.render_dashboard(metrics=MIXED))["Schedule cache"]
+    # The hit mix: one stacked bar plus each kind's share of requests.
+    assert "<title>exact: 6</title>" in body
+    assert "<title>miss: 2</title>" in body
+    assert "<td>75.0%</td>" in body and "<td>25.0%</td>" in body
+    assert f">{escape(METRIC_HELP['coalesced_requests_total'])}<" in body
 
 
 def test_cache_panel_shows_partition_rows():
-    metrics = {
-        "counters": {
-            "decompose_partitions_total": 4.0,
-            "partition_cache_hits_total": 3.0,
-            "partition_cache_misses_total": 1.0,
-        },
-        "gauges": {},
-        "histograms": {
-            "partition_solve_seconds": {
-                "buckets": {"+Inf": 4},
-                "sum": 2.0,
-                "count": 4,
-            }
-        },
-    }
-    html = dashboard.render_dashboard(metrics=metrics)
-    assert dashboard.validate_self_contained(html) == []
-    assert "region decomposition" in html
-    assert "partitions solved" in html
-    assert "partition hit rate" in html
-    assert "mean per-partition solve" in html
+    panels = _panels(dashboard.render_dashboard(metrics=MIXED))
+    body = panels["Region decomposition"]
+    # Partition cache hits and misses side by side, and the mean
+    # per-partition solve time (4 solves, 2 s).
+    assert ">partition_cache_hits_total</td><td>3</td>" in body
+    assert ">partition_cache_misses_total</td><td>1</td>" in body
+    assert (
+        ">partition_solve_seconds</td><td>4</td><td>2</td><td>0.5</td>"
+        in body
+    )
+    assert "partition_" not in panels["Schedule cache"]
 
 
 def test_swp_panel_renders_from_metrics():
-    metrics = {
-        "counters": {
-            'swp_loops_total{status="pipelined"}': 3.0,
-            'swp_loops_total{status="unpipelined"}': 1.0,
-            "swp_ii_at_mii_total": 3.0,
-            'swp_oracle_total{result="pass"}': 3.0,
-        },
-        "histograms": {
-            "swp_ii_over_mii": {
-                "sum": 3.0, "count": 3, "buckets": {"+Inf": 3},
-            },
-        },
-    }
-    html = dashboard.render_dashboard(metrics=metrics)
-    assert "Software pipelining" in html
-    assert "pipelined" in html
-    assert dashboard.validate_self_contained(html) == []
-
-
-def test_swp_panel_degrades_without_activity():
-    html = dashboard.render_dashboard(metrics={"counters": {}})
-    assert "Software pipelining" in html
-    assert "no software-pipelined loops recorded" in html
+    body = _panels(dashboard.render_dashboard(metrics=MIXED))[
+        "Software pipelining"
+    ]
+    # Pipelined share, oracle pass/fail, fallback mix and mean II/MII.
+    assert ";pipelined</td><td></td><td>3</td><td>75.0%</td>" in body
+    assert ";pass</td><td></td><td>3</td><td>100.0%</td>" in body
+    assert "<title>not_counted: 1</title>" in body
+    assert ">swp_ii_over_mii</td><td>3</td><td>3.3</td><td>1.1</td>" in body

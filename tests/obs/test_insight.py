@@ -117,71 +117,63 @@ def test_aggregate_paper_metrics_averages_and_sums():
     assert insight.aggregate_paper_metrics([])["routines"] == 0
 
 
-def test_serve_summary_from_metrics_dump():
+def test_metric_families_from_metrics_dump():
     metrics = {
         "counters": {
             'cache_hits_total{kind="exact"}': 6.0,
             'cache_hits_total{kind="family"}': 2.0,
             'cache_hits_total{kind="miss"}': 2.0,
-            "coalesced_requests_total": 3.0,
             'cache_store_errors_total{op="get"}': 1.0,
             'cache_store_errors_total{op="put"}': 1.0,
-            "cache_corrupt_entries_total": 1.0,
-            "cache_evictions_total": 4.0,
+            'routine_fallback_total{routine="f",tier="optimal"}': 1.0,
+            "swp_ii_at_mii_total": 4.0,
         },
         "gauges": {"cache_size_bytes": 12345.0},
-    }
-    digest = insight.serve_summary(metrics)
-    assert digest["requests"] == 10.0
-    assert digest["hits"] == {"exact": 6.0, "family": 2.0, "miss": 2.0}
-    assert digest["hit_rate"] == pytest.approx(0.8)
-    assert digest["coalesced"] == 3.0
-    assert digest["solves"] == 2.0
-    assert digest["store_errors"] == 2.0  # both ops summed
-    assert digest["corrupt_entries"] == 1.0
-    assert digest["evictions"] == 4.0
-    assert digest["size_bytes"] == 12345.0
-
-
-def test_serve_summary_empty_and_none():
-    for metrics in (None, {}, {"counters": {}, "gauges": {}}):
-        digest = insight.serve_summary(metrics)
-        assert digest["requests"] == 0
-        assert digest["hit_rate"] == 0.0
-
-
-def test_decompose_summary_from_metrics_dump():
-    metrics = {
-        "counters": {
-            "decompose_partitions_total": 8.0,
-            "partition_cache_hits_total": 6.0,
-            "partition_cache_misses_total": 2.0,
-        },
         "histograms": {
-            "partition_solve_seconds": {
-                "buckets": {"+Inf": 8},
-                "sum": 4.0,
-                "count": 8,
-            }
+            'serve_request_seconds{kind="exact"}': {
+                "buckets": {"+Inf": 3}, "sum": 0.5, "count": 3,
+            },
+            'serve_request_seconds{kind="miss"}': {
+                "buckets": {"+Inf": 1}, "sum": 1.5, "count": 1,
+            },
         },
     }
-    digest = insight.decompose_summary(metrics)
-    assert digest["partitions"] == 8.0
-    assert digest["cache_hits"] == 6.0
-    assert digest["cache_misses"] == 2.0
-    assert digest["hit_rate"] == pytest.approx(0.75)
-    assert digest["solves"] == 8.0
-    assert digest["solve_seconds"] == pytest.approx(4.0)
-    assert digest["mean_solve_seconds"] == pytest.approx(0.5)
+    families = insight.metric_families(metrics, ("cache_", "serve_"))
+    assert set(families) == {
+        "cache_hits_total", "cache_store_errors_total", "cache_size_bytes",
+        "serve_request_seconds",
+    }
+    hits = families["cache_hits_total"]
+    assert hits["kind"] == "counter"
+    assert hits["total"] == 10.0
+    assert hits["by_label"] == {"exact": 6.0, "family": 2.0, "miss": 2.0}
+    assert families["cache_store_errors_total"]["total"] == 2.0  # both ops
+    size = families["cache_size_bytes"]
+    assert (size["kind"], size["total"], size["by_label"]) == (
+        "gauge", 12345.0, {},
+    )
+    latency = families["serve_request_seconds"]
+    assert latency["kind"] == "histogram"
+    assert (latency["count"], latency["sum"]) == (4, pytest.approx(2.0))
+    assert latency["mean"] == pytest.approx(0.5)
+    assert latency["total"] == latency["count"]
+    assert latency["by_label"]["exact"]["mean"] == pytest.approx(0.5 / 3)
+    assert latency["by_label"]["miss"] == {"count": 1, "sum": 1.5, "mean": 1.5}
+    # Several labels key by their values joined in label-name order.
+    every = insight.metric_families(metrics, ("",))
+    assert every["routine_fallback_total"]["by_label"] == {"f,optimal": 1.0}
+    assert len(every) == 6
 
 
-def test_decompose_summary_empty_and_live(tmp_path):
-    for metrics in (None, {}, {"counters": {}, "histograms": {}}):
-        digest = insight.decompose_summary(metrics)
-        assert digest["partitions"] == 0
-        assert digest["hit_rate"] == 0.0
-        assert digest["mean_solve_seconds"] == 0.0
+def test_metric_families_empty_and_none():
+    for metrics in (None, {}, {"counters": {}, "gauges": {}}):
+        assert insight.metric_families(metrics, ("cache_",)) == {}
+    assert insight.metric_families(
+        {"counters": {"solves_total": 1.0}}, ("cache_", "swp_")
+    ) == {}
 
+
+def test_metric_families_from_live_decompose_run(tmp_path):
     from repro.obs import core as obs
     from repro.obs import export
     from repro.sched.scheduler import ScheduleFeatures as SF
@@ -201,16 +193,20 @@ def test_decompose_summary_empty_and_live(tmp_path):
             fn,
             SF(time_limit=90, max_hops=4, decompose_min_instructions=24),
         )
-        digest = insight.decompose_summary(export.metrics_dict())
+        families = insight.metric_families(
+            export.metrics_dict(), ("decompose_", "partition_")
+        )
     finally:
         obs.disable()
     assert any("decomposed into" in m for m in result.messages)
-    assert digest["partitions"] >= 2
-    assert digest["solves"] == digest["partitions"]
-    assert digest["solve_seconds"] > 0.0
+    partitions = families["decompose_partitions_total"]["total"]
+    solves = families["partition_solve_seconds"]
+    assert partitions >= 2
+    assert solves["count"] == partitions
+    assert solves["sum"] > 0.0
 
 
-def test_serve_summary_from_live_serve_run(tmp_path):
+def test_metric_families_from_live_serve_run(tmp_path):
     from repro.obs import core as obs
     from repro.obs import export
     from repro.sched.scheduler import ScheduleFeatures as SF
@@ -223,53 +219,16 @@ def test_serve_summary_from_live_serve_run(tmp_path):
         svc = ScheduleService(tmp_path / "cache", default_features=SF(time_limit=20))
         svc.request(fn)
         svc.request(fn)
-        digest = insight.serve_summary(export.metrics_dict())
+        families = insight.metric_families(export.metrics_dict(), ("cache_",))
     finally:
         obs.disable()
-    assert digest["requests"] == 2
-    assert digest["hits"]["exact"] == 1
-    assert digest["hits"]["miss"] == 1
+    hits = families["cache_hits_total"]
+    assert hits["total"] == 2
+    assert hits["by_label"]["exact"] == 1
+    assert hits["by_label"]["miss"] == 1
 
 
-def test_swp_summary_from_metrics_dump():
-    metrics = {
-        "counters": {
-            'swp_loops_total{status="pipelined"}': 5.0,
-            'swp_loops_total{status="unpipelined"}': 1.0,
-            "swp_ii_at_mii_total": 4.0,
-            'swp_oracle_total{result="pass"}': 5.0,
-            'swp_fallbacks_total{reason="not_counted"}': 1.0,
-            "swp_cache_hits_total": 2.0,
-            "swp_cache_misses_total": 2.0,
-        },
-        "histograms": {
-            "swp_ii_over_mii": {
-                "sum": 5.5, "count": 5, "buckets": {"+Inf": 5},
-            },
-        },
-    }
-    digest = insight.swp_summary(metrics)
-    assert digest["loops"] == 6.0
-    assert digest["by_status"]["pipelined"] == 5.0
-    assert digest["pipelined"] == 5.0
-    assert digest["pipelined_rate"] == pytest.approx(5 / 6)
-    assert digest["ii_at_mii"] == 4.0
-    assert digest["ii_at_mii_rate"] == pytest.approx(0.8)
-    assert digest["mean_ii_over_mii"] == pytest.approx(1.1)
-    assert digest["oracle"]["pass"] == 5.0
-    assert digest["fallbacks"]["not_counted"] == 1.0
-    assert digest["cache_hits"] == 2.0
-    assert digest["cache_hit_rate"] == pytest.approx(0.5)
-
-
-def test_swp_summary_empty_and_live():
-    for metrics in (None, {}, {"counters": {}, "histograms": {}}):
-        digest = insight.swp_summary(metrics)
-        assert digest["loops"] == 0
-        assert digest["pipelined_rate"] == 0.0
-        assert digest["ii_at_mii_rate"] == 0.0
-        assert digest["oracle"] == {}
-
+def test_metric_families_from_live_swp_run():
     from repro.obs import core as obs
     from repro.obs import export
 
@@ -300,10 +259,11 @@ def test_swp_summary_empty_and_live():
         result = optimize_function(
             fn, ScheduleFeatures(time_limit=60, swp=True)
         )
-        digest = insight.swp_summary(export.metrics_dict())
+        families = insight.metric_families(export.metrics_dict(), ("swp_",))
     finally:
         obs.disable()
     assert result.swp_outcomes, result.messages
-    assert digest["loops"] >= 1
-    assert digest["pipelined"] >= 1
-    assert digest["oracle"].get("pass", 0) >= 1
+    loops = families["swp_loops_total"]
+    assert loops["total"] >= 1
+    assert loops["by_label"].get("pipelined", 0) >= 1
+    assert families["swp_oracle_total"]["by_label"].get("pass", 0) >= 1

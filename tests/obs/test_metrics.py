@@ -158,6 +158,31 @@ def test_prometheus_text_help_lines_precede_type():
     assert "# HELP some_adhoc_total some_adhoc_total (unregistered)" in text
 
 
+def test_every_emitted_metric_has_help_text():
+    # Scan the package for obs.counter/gauge/histogram calls. Each must
+    # name its metric with a string literal (a computed name would hide
+    # from this scan) and that name must carry a METRIC_HELP entry.
+    import re
+    from pathlib import Path
+
+    call = re.compile(r"\bobs\.(?:counter|gauge|histogram)\(\s*")
+    literal = re.compile(r'"([a-z0-9_]+)"')
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    emitted, computed = set(), []
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for match in call.finditer(text):
+            name = literal.match(text, match.end())
+            if name is None:
+                line = text.count("\n", 0, match.start()) + 1
+                computed.append(f"{path.name}:{line}")
+            else:
+                emitted.add(name.group(1))
+    assert not computed, computed
+    assert len(emitted) >= 50
+    assert sorted(emitted - set(METRIC_HELP)) == []
+
+
 def test_prometheus_label_value_escaping():
     reg = MetricsRegistry()
     reg.counter_add(

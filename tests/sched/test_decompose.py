@@ -174,6 +174,34 @@ def test_stitch_fault_falls_back_to_whole_function():
     )
     assert not any("decomposed into" in m for m in result.messages)
     assert result.verification.ok, result.verification.problems[:3]
+    # The solved partitions' block lengths seed the fallback, so it
+    # proves optimality instead of starting cold and hitting the limit.
+    assert any("from the solved partitions" in m for m in result.messages)
+    assert result.quality == "optimal"
+
+
+def test_stitch_hint_takes_each_block_from_its_owner():
+    # Partition 0 owns A and B with exit stub C; partition 1 owns C and
+    # D. Listed stub-last, the stub's length 0 must not replace C's 5.
+    from types import SimpleNamespace
+
+    from repro.sched.decompose import _solved_lengths
+    from repro.sched.schedule import Schedule
+
+    def solved(lengths):
+        schedule = Schedule(list(lengths))
+        for name, length in lengths.items():
+            schedule.set_block_length(name, length)
+        return SimpleNamespace(
+            reconstruction=SimpleNamespace(schedule=schedule)
+        )
+
+    parts = [
+        SimpleNamespace(spec=SimpleNamespace(exit=None)),
+        SimpleNamespace(spec=SimpleNamespace(exit="C")),
+    ]
+    pieces = [solved({"C": 5, "D": 2}), solved({"A": 3, "B": 4, "C": 0})]
+    assert _solved_lengths(parts, pieces) == {"A": 3, "B": 4, "C": 5, "D": 2}
 
 
 def _normalized_emit(result):
